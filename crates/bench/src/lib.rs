@@ -9,8 +9,8 @@
 //! --seed N           deterministic seed (default 42)
 //! --bench NAME       restrict to one benchmark (repeatable)
 //! --jobs N           parallel sweep workers (default: all host cores; 0 = auto)
-//! --chunk N          split each point into resumable chunks of N accesses so
-//!                    idle workers can steal long points (default: off)
+//! --chunk N          step each point's event loop N accesses at a time
+//!                    (default: off, one step per point)
 //! --bench-json PATH  write the machine-readable BENCH_sweep.json perf artifact
 //! --trace-out PATH   arm event tracing; write PATH (JSONL) + PATH.chrome.json
 //! --quick            small smoke-test configuration
@@ -54,7 +54,7 @@ pub struct Cli {
     /// Sweep worker threads (`--jobs`; defaults to the host's available
     /// parallelism).
     pub jobs: usize,
-    /// Chunked execution: simulated accesses per scheduling chunk
+    /// Chunked execution: simulated accesses per event-loop step
     /// (`--chunk`); `None` drives each point to completion in one go.
     pub chunk: Option<u64>,
     /// Where to write the `BENCH_sweep.json` perf artifact, if anywhere.

@@ -91,11 +91,10 @@ fn page_size_bytes() -> u64 {
 /// Per-point load imbalance: the ratio of the slowest to the fastest
 /// point's wall time, over points completed fresh in this run.
 ///
-/// A ratio near 1 means the work-stealing pool kept every worker busy;
-/// a large ratio means one point dominated the sweep's wall clock (the
-/// situation point chunking exists to fix). `None` with fewer than two
-/// fresh completed points, or when a point's wall time is zero (clock
-/// granularity) — a ratio against ~0 ns is noise, not signal. Resumed
+/// A ratio near 1 means the points cost about the same; a large ratio
+/// means one point dominated the sweep's wall clock. `None` with fewer
+/// than two fresh completed points, or when a point's wall time is zero
+/// (clock granularity) — a ratio against ~0 ns is noise, not signal. Resumed
 /// points are excluded: they re-ran only the tail of their work, so
 /// their wall times are not comparable to fresh points'.
 pub fn imbalance(report: &SweepReport) -> Option<f64> {

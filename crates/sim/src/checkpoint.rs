@@ -496,7 +496,7 @@ pub fn render_record(key: &str, record: &PointRecord) -> String {
 /// Renders an in-flight progress marker for `key` as a single JSONL line
 /// (no trailing newline): `{"key":…,"status":"chunk","attempts":…}`.
 ///
-/// A chunked sweep appends one of these the first time a point parks
+/// A chunked sweep appends one of these the first time a point pauses
 /// between chunks, so an operator inspecting a killed sweep's checkpoint
 /// can tell "was mid-run" from "never started". Progress markers carry no
 /// resumable state: loaders skip them and the point re-runs from scratch.

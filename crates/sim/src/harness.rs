@@ -11,16 +11,13 @@
 //! * with an optional cycle-budget watchdog
 //!   ([`SweepOptions::watchdog_cycles`]), so a point that stops making
 //!   progress is cut off deterministically;
-//! * with bounded retries, a deterministic seeded exponential backoff
-//!   with jitter ([`retry_backoff_ms`]), and an optional capacity-scale
-//!   reduction per retry ([`SweepOptions::retry_scale_factor`]);
 //! * appending each outcome to a JSONL checkpoint
 //!   ([`crate::checkpoint`]), so re-invoking the sweep resumes.
 //!
 //! Points are independent (each builds its own organization and streams
 //! from the per-point configuration), so the harness also runs them in
-//! parallel: [`SweepOptions::jobs`] workers pull points from a shared
-//! queue ([`crate::pool`]), outcomes funnel through one internally
+//! parallel: [`SweepOptions::jobs`] workers claim points off a shared
+//! cursor ([`crate::pool`]), outcomes funnel through one internally
 //! synchronized [`checkpoint::Writer`], and the report is assembled in
 //! canonical input order — a parallel sweep's [`SweepReport`] compares
 //! equal to the serial one, and its checkpoint resumes identically (the
@@ -32,13 +29,11 @@
 //! gauges — but deliberately excluded from report equality, which covers
 //! simulated results only.
 
-use std::hash::BuildHasher as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use cameo_types::{DetBuildHasher, SplitMix64};
 use cameo_workloads::{BenchSpec, TraceGenerator};
 
 use crate::checkpoint::{self, PointRecord};
@@ -86,19 +81,10 @@ impl SweepPoint {
 pub struct SweepOptions {
     /// Base configuration for every point.
     pub config: SystemConfig,
-    /// Attempts per point (first try plus retries); at least 1.
+    /// Attempts per point, each at the configured scale; at least 1.
+    /// The simulator is deterministic, so a point that fails once fails
+    /// again: the default of 1 records it and moves on.
     pub max_attempts: u32,
-    /// Each retry multiplies `config.scale` by this factor, shrinking the
-    /// simulated capacity and footprint so a point that died of its size
-    /// can still contribute a data point. `1` retries unchanged.
-    pub retry_scale_factor: u64,
-    /// Base wall-clock backoff: retry `n` first sleeps
-    /// [`retry_backoff_ms`]`(seed, key, n, base)` milliseconds — an
-    /// exponentially growing, seed-jittered delay (0 disables) — giving
-    /// transient host-level causes (memory pressure, a busy checkpoint
-    /// filesystem) room to clear without synchronizing every retrying
-    /// worker onto the same instant.
-    pub retry_backoff_ms: u64,
     /// Abort a point whose issue clock passes this many cycles (see
     /// [`Runner::try_run`]). `None` disables the watchdog.
     pub watchdog_cycles: Option<u64>,
@@ -111,15 +97,12 @@ pub struct SweepOptions {
     /// count: points are independent and the report is assembled in
     /// input order.
     pub jobs: usize,
-    /// Split each point's event loop into chunks of at most this many
-    /// post-L3 accesses. Between chunks the point's whole state (its
-    /// organization plus the paused [`crate::runner::RunSession`]) parks
-    /// on the work queue, where *any* worker — usually an idle one — can
-    /// steal and resume it, so one long point no longer serializes a
-    /// sweep's tail. Results are bit-identical at any chunk size and any
-    /// job count: a chunk boundary changes which thread executes the next
-    /// access, never which access executes next. `None` (the default)
-    /// runs every point to completion in one piece.
+    /// Cap each [`crate::runner::RunSession::step`] at this many post-L3
+    /// accesses. The worker that claimed the point steps it chunk after
+    /// chunk until it completes; the first pause of a point also appends
+    /// an in-flight marker to the checkpoint. Results are bit-identical at
+    /// any chunk size: a chunk boundary pauses the event loop, never
+    /// reorders it. `None` (the default) runs every point in one step.
     pub chunk_accesses: Option<u64>,
 }
 
@@ -127,9 +110,7 @@ impl Default for SweepOptions {
     fn default() -> Self {
         Self {
             config: SystemConfig::default(),
-            max_attempts: 3,
-            retry_scale_factor: 2,
-            retry_backoff_ms: 0,
+            max_attempts: 1,
             watchdog_cycles: None,
             quiet_panics: true,
             jobs: 1,
@@ -154,7 +135,7 @@ pub struct PointOutcome {
     /// Whether the record came from the checkpoint instead of being run.
     pub resumed: bool,
     /// Host wall-clock spent producing the record, in nanoseconds
-    /// (all attempts and backoff included; `0` for resumed points).
+    /// (all attempts included; `0` for resumed points).
     pub wall_nanos: u64,
     /// The event recording of the successful attempt, when the sweep ran
     /// through [`run_sweep_traced`]. `None` for untraced sweeps, failed
@@ -377,8 +358,8 @@ pub fn run_sweep_traced_spilling(
 /// # Errors
 ///
 /// Returns [`SimError::Checkpoint`] on checkpoint I/O failure — the only
-/// sweep-fatal condition. Under concurrency the failure cancels the
-/// work queue; in-flight points finish but the sweep returns the error.
+/// sweep-fatal condition. Under concurrency the failure stops further
+/// claims; in-flight points finish but the sweep returns the error.
 pub fn run_sweep_with(
     points: &[SweepPoint],
     opts: &SweepOptions,
@@ -457,62 +438,32 @@ fn run_sweep_inner(
     // reaches the report.
     type ResultCell = Mutex<Option<(PointRecord, u64, Option<TraceData>)>>;
     let results: Vec<ResultCell> = pending.iter().map(|_| Mutex::new(None)).collect();
-    // One parked task per pending point. The cell holds `None` exactly
-    // while a worker runs a chunk of it — the pool guarantees a single
-    // holder, so these mutexes are never contended; they only ferry the
-    // state (organization + paused session) between workers.
-    let tasks: Vec<Mutex<Option<PointTask>>> = pending
-        .iter()
-        .map(|&i| {
-            let mut task = PointTask::new(opts);
-            // A point the checkpoint parks (a dangling in-flight marker,
-            // whether left by a kill or forged into the file) re-runs
-            // from scratch with fresh attempt accounting — but its
-            // marker is already on disk, so appending another would
-            // duplicate it.
-            task.progress_written = resume.parked.contains_key(&points[i].key);
-            Mutex::new(Some(task))
-        })
-        .collect();
     let checkpoint_failure: Mutex<Option<SimError>> = Mutex::new(None);
-    crate::pool::run_chunked(opts.jobs.max(1), pending.len(), |n, cancel| {
+    crate::pool::for_each(opts.jobs.max(1), pending.len(), |n, cancel| {
         let point = &points[pending[n]];
-        let mut task = lock(&tasks[n])
-            .take()
-            .expect("the pool hands a parked task to exactly one worker at a time");
-        let chunk_start = Instant::now();
-        let outcome = run_chunk(point, opts, build, &mut task);
-        task.wall_nanos = task
-            .wall_nanos
-            .saturating_add(u64::try_from(chunk_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        match outcome {
-            ChunkOutcome::Terminal(record, trace) => {
-                if let Some(writer) = &writer {
-                    if let Err(e) = writer.append(&point.key, &record) {
-                        *lock(&checkpoint_failure) = Some(e);
-                        cancel.cancel();
-                        return crate::pool::TaskStatus::Done;
-                    }
-                }
-                *lock(&results[n]) = Some((record, task.wall_nanos, trace.map(|boxed| *boxed)));
-                crate::pool::TaskStatus::Done
+        let point_start = Instant::now();
+        // A point the checkpoint parks (a dangling in-flight marker,
+        // whether left by a kill or forged into the file) re-runs from
+        // scratch with fresh attempt accounting — but its marker is
+        // already on disk, so appending another would duplicate it.
+        let marker = writer
+            .as_ref()
+            .filter(|_| !resume.parked.contains_key(&point.key));
+        let outcome = run_point(point, opts, build, marker).and_then(|done| {
+            if let Some(writer) = &writer {
+                writer.append(&point.key, &done.0)?;
             }
-            ChunkOutcome::InProgress => {
-                // First park of a chunked point: leave an in-flight
-                // marker so a killed sweep's checkpoint distinguishes
-                // "was mid-run" from "never started". Loaders skip it.
-                if !task.progress_written && opts.chunk_accesses.is_some() {
-                    task.progress_written = true;
-                    if let Some(writer) = &writer {
-                        if let Err(e) = writer.append_progress(&point.key, task.attempt) {
-                            *lock(&checkpoint_failure) = Some(e);
-                            cancel.cancel();
-                            return crate::pool::TaskStatus::Done;
-                        }
-                    }
-                }
-                *lock(&tasks[n]) = Some(task);
-                crate::pool::TaskStatus::Yield
+            Ok(done)
+        });
+        match outcome {
+            Ok((record, trace)) => {
+                let wall_nanos =
+                    u64::try_from(point_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                *lock(&results[n]) = Some((record, wall_nanos, trace));
+            }
+            Err(e) => {
+                *lock(&checkpoint_failure) = Some(e);
+                cancel.cancel();
             }
         }
     });
@@ -552,194 +503,81 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// How many doublings the exponential backoff ceiling is allowed
-/// (2^10 · base caps the wait at ~17 min for a 1 s base — long enough for
-/// any transient, short enough that a supervisor's deadline still governs).
-const BACKOFF_MAX_DOUBLINGS: u32 = 10;
-
-/// Deterministic retry backoff in milliseconds: exponential ceiling with
-/// equal jitter, derived entirely from `(seed, key, attempt)`.
-///
-/// Attempt `n ≥ 2` draws uniformly from `[ceiling/2, ceiling]` where
-/// `ceiling = base_ms · 2^(n−2)` (capped at 2^[`BACKOFF_MAX_DOUBLINGS`] ·
-/// `base_ms`). The jitter comes from a [`SplitMix64`] stream seeded by the
-/// sweep seed, the point key's deterministic hash, and the attempt number
-/// — so two runs of the same sweep at the same seed back off identically
-/// (reproducible schedules, testable without sleeping), while distinct
-/// points desynchronize instead of thundering onto the checkpoint disk
-/// together. Attempt 1 and `base_ms == 0` cost nothing.
-#[must_use]
-pub fn retry_backoff_ms(seed: u64, key: &str, attempt: u32, base_ms: u64) -> u64 {
-    if base_ms == 0 || attempt < 2 {
-        return 0;
-    }
-    let doublings = (attempt - 2).min(BACKOFF_MAX_DOUBLINGS);
-    let ceiling = base_ms.saturating_mul(1u64 << doublings);
-    let half = ceiling / 2;
-    let mut rng =
-        SplitMix64::new(seed ^ DetBuildHasher::default().hash_one(key) ^ u64::from(attempt));
-    half + rng.below(ceiling - half + 1)
-}
-
-/// The full backoff schedule a point would follow: delays before attempts
-/// `2..=max_attempts`, in order. Lets a supervisor budget a point's worst
-/// case — and lets tests pin determinism — without running anything.
-#[must_use]
-pub fn retry_schedule(seed: u64, key: &str, max_attempts: u32, base_ms: u64) -> Vec<u64> {
-    (2..=max_attempts.max(1))
-        .map(|attempt| retry_backoff_ms(seed, key, attempt, base_ms))
-        .collect()
-}
-
-/// The parked state of one pending point between chunks: everything the
-/// old single-shot `run_point` kept on its stack, lifted into a value so
-/// it can travel across workers on the work-stealing queue.
-struct PointTask {
-    /// Per-attempt configuration (`scale` shrinks on retries).
-    config: SystemConfig,
-    /// The attempt currently live (or about to start); 0 before the first.
-    attempt: u32,
-    /// Stringified error of the most recent failed attempt.
-    last_error: String,
-    /// Host wall-clock accumulated across this point's chunks.
-    wall_nanos: u64,
-    /// Whether the in-flight checkpoint marker was already appended.
-    progress_written: bool,
-    /// The live attempt, if one is mid-run.
-    active: Option<ActiveRun>,
-}
-
-impl PointTask {
-    fn new(opts: &SweepOptions) -> Self {
-        Self {
-            config: opts.config,
-            attempt: 0,
-            last_error: String::new(),
-            wall_nanos: 0,
-            progress_written: false,
-            active: None,
-        }
-    }
-}
-
-/// A mid-run attempt: the organization under test, its optional trace
-/// sink, and the paused event-loop session that resumes them.
+/// A live attempt: the organization under test, its optional trace sink,
+/// and the paused event-loop session that resumes them.
 struct ActiveRun {
     org: Box<dyn MemoryOrganization>,
     sink: Option<SharedSink>,
     session: RunSession<TraceGenerator>,
 }
 
-/// What one chunk invocation produced. The trace rides behind a `Box`:
-/// the bounded epoch ring makes `TraceData` a wide value, and the
-/// variant would otherwise dominate the enum's size.
-enum ChunkOutcome {
-    /// The point reached a terminal record (done, or failed for good).
-    Terminal(PointRecord, Option<Box<TraceData>>),
-    /// The point parked mid-run (or between failed attempts); re-queue.
-    InProgress,
-}
-
-/// Runs one chunk of one point: starts the next attempt if none is live
-/// (applying the retry backoff and scale reduction first), then advances
-/// the live session by at most [`SweepOptions::chunk_accesses`] accesses.
+/// Runs one point to its terminal record on the calling worker: up to
+/// [`SweepOptions::max_attempts`] crash-isolated attempts at the
+/// configured scale, each stepped through chunks of at most
+/// [`SweepOptions::chunk_accesses`] accesses. The first time a chunked
+/// point pauses mid-run it appends an in-flight marker through `marker`
+/// (`None` when there is no checkpoint or it already holds one), so a
+/// killed sweep's checkpoint distinguishes "was mid-run" from "never
+/// started".
 ///
-/// With chunking off the first chunk carries the attempt to completion,
-/// so the terminal record matches the old single-shot path by
-/// construction — attempt accounting, backoff, scale reduction, panic
-/// capture and the event loop itself are the same code either way.
-fn run_chunk(
+/// Only a checkpoint write can fail this function; every point failure
+/// is a [`PointRecord::Failed`].
+fn run_point(
     point: &SweepPoint,
     opts: &SweepOptions,
     build: &TracedOrgBuilder<'_>,
-    task: &mut PointTask,
-) -> ChunkOutcome {
-    if task.active.is_none() {
-        let bench = match cameo_workloads::require(&point.bench) {
-            Ok(bench) => bench,
+    mut marker: Option<&checkpoint::Writer>,
+) -> Result<(PointRecord, Option<TraceData>), SimError> {
+    let bench = match cameo_workloads::require(&point.bench) {
+        Ok(bench) => bench,
+        Err(e) => {
+            // Deterministic configuration error: retrying cannot help.
+            let error = SimError::from(e).to_string();
+            return Ok((PointRecord::Failed { attempts: 1, error }, None));
+        }
+    };
+    let budget = opts.chunk_accesses.map_or(u64::MAX, |c| c.max(1));
+    let max_attempts = opts.max_attempts.max(1);
+    let mut error = String::new();
+    for attempt in 1..=max_attempts {
+        let mut active = match begin_attempt(point, &bench, &opts.config, build) {
+            Ok(active) => active,
             Err(e) => {
-                // Deterministic configuration error: retrying cannot help.
-                return ChunkOutcome::Terminal(
-                    PointRecord::Failed {
-                        attempts: 1,
-                        error: SimError::from(e).to_string(),
-                    },
-                    None,
-                );
+                error = e.to_string();
+                continue;
             }
         };
-        task.attempt += 1;
-        if task.attempt > 1 {
-            // Seeded exponential backoff with jitter before retry `n`
-            // (see `retry_backoff_ms`). The sleep is compiled out of test
-            // builds so harness tests never wall-block, whatever backoff
-            // the options under test carry.
-            #[cfg(not(test))]
-            if opts.retry_backoff_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(retry_backoff_ms(
-                    opts.config.seed,
-                    &point.key,
-                    task.attempt,
-                    opts.retry_backoff_ms,
-                )));
-            }
-            task.config.scale = task
-                .config
-                .scale
-                .saturating_mul(opts.retry_scale_factor.max(1));
-        }
-        match begin_attempt(point, &bench, &task.config, build) {
-            Ok(active) => task.active = Some(active),
-            Err(e) => {
-                task.last_error = e.to_string();
-                return fail_or_retry(task, opts);
+        loop {
+            match step_attempt(point, &mut active, opts.watchdog_cycles, budget) {
+                Ok(SessionStatus::Running) => {
+                    if let Some(writer) = marker.take() {
+                        writer.append_progress(&point.key, attempt)?;
+                    }
+                }
+                Ok(SessionStatus::Complete(stats)) => {
+                    let trace = active.sink.map(|sink| sink.take());
+                    return Ok((
+                        PointRecord::Done {
+                            attempts: attempt,
+                            stats,
+                        },
+                        trace,
+                    ));
+                }
+                Err(e) => {
+                    error = e.to_string();
+                    break;
+                }
             }
         }
     }
-    let budget = opts.chunk_accesses.map_or(u64::MAX, |c| c.max(1));
-    let active = task
-        .active
-        .as_mut()
-        .expect("a live attempt was ensured just above");
-    match step_attempt(point, active, opts.watchdog_cycles, budget) {
-        Ok(SessionStatus::Running) => ChunkOutcome::InProgress,
-        Ok(SessionStatus::Complete(stats)) => {
-            let trace = task
-                .active
-                .take()
-                .and_then(|active| active.sink)
-                .map(|sink| Box::new(sink.take()));
-            ChunkOutcome::Terminal(
-                PointRecord::Done {
-                    attempts: task.attempt,
-                    stats,
-                },
-                trace,
-            )
-        }
-        Err(e) => {
-            task.active = None;
-            task.last_error = e.to_string();
-            fail_or_retry(task, opts)
-        }
-    }
-}
-
-/// After a failed attempt: terminal `Failed` once the attempt budget is
-/// spent, otherwise park so the next claim starts the next attempt.
-fn fail_or_retry(task: &mut PointTask, opts: &SweepOptions) -> ChunkOutcome {
-    let max_attempts = opts.max_attempts.max(1);
-    if task.attempt >= max_attempts {
-        ChunkOutcome::Terminal(
-            PointRecord::Failed {
-                attempts: max_attempts,
-                error: std::mem::take(&mut task.last_error),
-            },
-            None,
-        )
-    } else {
-        ChunkOutcome::InProgress
-    }
+    Ok((
+        PointRecord::Failed {
+            attempts: max_attempts,
+            error,
+        },
+        None,
+    ))
 }
 
 /// Crash-isolated start of one attempt: builds the organization (and
@@ -829,6 +667,8 @@ mod tests {
     use crate::org::OrgResult;
     use crate::stats::BandwidthReport;
     use cameo_types::{Access, ByteSize, Cycle, PageAddr};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn quick_opts() -> SweepOptions {
         SweepOptions {
@@ -849,6 +689,33 @@ mod tests {
     #[derive(Debug)]
     struct FuseOrg {
         remaining: u64,
+        /// Counts the organization live from build to drop, when a test
+        /// watches how many points are in flight at once.
+        _live: Option<LiveGuard>,
+    }
+
+    /// Organizations currently alive, and the most ever alive at once.
+    #[derive(Debug, Default)]
+    struct LiveCount {
+        live: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    #[derive(Debug)]
+    struct LiveGuard(Arc<LiveCount>);
+
+    impl LiveGuard {
+        fn new(count: &Arc<LiveCount>) -> Self {
+            let live = count.live.fetch_add(1, Ordering::SeqCst) + 1;
+            count.peak.fetch_max(live, Ordering::SeqCst);
+            Self(Arc::clone(count))
+        }
+    }
+
+    impl Drop for LiveGuard {
+        fn drop(&mut self) {
+            self.0.live.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 
     impl MemoryOrganization for FuseOrg {
@@ -908,7 +775,10 @@ mod tests {
             if point.key == "explodes" {
                 // The quick config issues ~60 post-L3 accesses; a 20-access
                 // fuse reliably blows mid-run rather than never.
-                Box::new(FuseOrg { remaining: 20 })
+                Box::new(FuseOrg {
+                    remaining: 20,
+                    _live: None,
+                })
             } else {
                 build_org(
                     &cameo_workloads::require(&point.bench).expect("suite benchmark"),
@@ -963,30 +833,64 @@ mod tests {
         }
     }
 
+    /// The simulator is deterministic, so a point that panics panics
+    /// again: under default options it is built exactly once, at the
+    /// configured scale, and recorded as failed after that one attempt.
     #[test]
-    fn retry_reduces_scale_until_success() {
-        // The fuse panics during the run; the builder swaps in a healthy
-        // org once the harness has down-scaled the config, proving both the
-        // retry loop and the scale reduction are applied.
+    fn failing_point_is_built_once_at_configured_scale_by_default() {
         let opts = SweepOptions {
-            max_attempts: 3,
-            retry_scale_factor: 2,
-            ..quick_opts()
+            config: quick_opts().config,
+            ..SweepOptions::default()
         };
-        let base_scale = opts.config.scale;
+        let builds = Mutex::new(Vec::new());
         let points = [SweepPoint::new("astar", OrgKind::Baseline)];
         let report = run_sweep_with(&points, &opts, None, &|_, config| {
-            if config.scale > base_scale {
-                Box::new(crate::org::BaselineOrg::new(config.off_chip(), config.seed))
-            } else {
-                Box::new(FuseOrg { remaining: 10 })
-            }
+            lock(&builds).push(config.scale);
+            Box::new(FuseOrg {
+                remaining: 10,
+                _live: None,
+            })
         })
         .expect("no checkpoint I/O involved");
+        assert_eq!(
+            builds.into_inner().expect("the sweep has returned"),
+            vec![opts.config.scale]
+        );
         match &report.outcomes[0].record {
-            PointRecord::Done { attempts, .. } => assert_eq!(*attempts, 2),
-            other => panic!("expected recovery on retry, got {other:?}"),
+            PointRecord::Failed { attempts, error } => {
+                assert_eq!(*attempts, 1);
+                assert!(error.contains("fuse blew"), "{error}");
+            }
+            other => panic!("expected failure record, got {other:?}"),
         }
+    }
+
+    /// A worker steps the point it claimed to completion before claiming
+    /// another, so however finely points are chunked, no more than `jobs`
+    /// organizations are ever alive at once — which keeps a sweep's peak
+    /// memory at `jobs` points' worth.
+    #[test]
+    fn live_points_never_exceed_jobs() {
+        let opts = SweepOptions {
+            jobs: 2,
+            chunk_accesses: Some(4),
+            ..quick_opts()
+        };
+        let count = Arc::new(LiveCount::default());
+        let points: Vec<SweepPoint> = (0..8)
+            .map(|i| SweepPoint::new("astar", OrgKind::Baseline).with_key(format!("p{i}")))
+            .collect();
+        let report = run_sweep_with(&points, &opts, None, &|_, _| {
+            Box::new(FuseOrg {
+                remaining: u64::MAX,
+                _live: Some(LiveGuard::new(&count)),
+            })
+        })
+        .expect("no checkpoint I/O involved");
+        assert_eq!(report.completed(), points.len());
+        assert_eq!(count.live.load(Ordering::SeqCst), 0, "every org dropped");
+        let peak = count.peak.load(Ordering::SeqCst);
+        assert!(peak <= opts.jobs, "{peak} organizations alive at once");
     }
 
     /// The tentpole determinism guarantee: the same sweep run serially
@@ -1097,7 +1001,10 @@ mod tests {
         };
         let report = run_sweep_with(&points, &opts, None, &|point, config| {
             if point.key == "explodes" {
-                Box::new(FuseOrg { remaining: 20 })
+                Box::new(FuseOrg {
+                    remaining: 20,
+                    _live: None,
+                })
             } else {
                 build_org(
                     &cameo_workloads::require(&point.bench).expect("suite benchmark"),
@@ -1128,60 +1035,6 @@ mod tests {
         let aps = report.accesses_per_sec().expect("wall-clock was recorded");
         assert!(aps > 0.0);
         assert!(report.cycles_per_sec().expect("wall-clock was recorded") > aps);
-    }
-
-    /// Satellite contract: the backoff schedule is a pure function of
-    /// `(seed, key, attempt, base)` — two runs at the same seed produce
-    /// identical retry schedules, delays respect the equal-jitter
-    /// envelope, and seed or key changes desynchronize the schedule.
-    #[test]
-    fn retry_backoff_schedule_is_deterministic() {
-        let a = retry_schedule(42, "astar::CAMEO", 6, 100);
-        let b = retry_schedule(42, "astar::CAMEO", 6, 100);
-        assert_eq!(a, b, "same seed must yield the same schedule");
-        assert_eq!(a.len(), 5, "one delay per retry attempt 2..=6");
-        for (i, &delay) in a.iter().enumerate() {
-            let ceiling = 100u64 << i;
-            assert!(
-                delay >= ceiling / 2 && delay <= ceiling,
-                "attempt {}: delay {delay} outside [{}, {ceiling}]",
-                i + 2,
-                ceiling / 2
-            );
-        }
-        assert_ne!(
-            a,
-            retry_schedule(43, "astar::CAMEO", 6, 100),
-            "seed matters"
-        );
-        assert_ne!(a, retry_schedule(42, "mcf::CAMEO", 6, 100), "key matters");
-        assert!(retry_schedule(42, "astar::CAMEO", 1, 100).is_empty());
-        assert_eq!(retry_schedule(42, "astar::CAMEO", 4, 0), vec![0, 0, 0]);
-        // The ceiling saturates instead of overflowing at high attempts.
-        let deep = retry_backoff_ms(7, "k", 60, u64::MAX / 2);
-        assert!(deep >= u64::MAX / 4);
-    }
-
-    /// The backoff sleep is compiled out of test builds: a huge
-    /// configured backoff must not wall-block the retry loop.
-    #[test]
-    fn retry_backoff_is_skipped_under_cfg_test() {
-        let opts = SweepOptions {
-            max_attempts: 3,
-            retry_backoff_ms: 60_000,
-            ..quick_opts()
-        };
-        let points = [SweepPoint::new("astar", OrgKind::Baseline)];
-        let start = std::time::Instant::now();
-        let report = run_sweep_with(&points, &opts, None, &|_, _| {
-            Box::new(FuseOrg { remaining: 5 })
-        })
-        .expect("no checkpoint I/O involved");
-        assert_eq!(report.failed(), 1);
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(30),
-            "a 60 s backoff ran under cfg(test)"
-        );
     }
 
     /// Arming the recording sink must not perturb simulated results: a
@@ -1246,7 +1099,10 @@ mod tests {
         let points = [SweepPoint::new("astar", OrgKind::Baseline)];
         let opts = quick_opts();
         let broken = run_sweep_with(&points, &opts, Some(&path), &|_, _| {
-            Box::new(FuseOrg { remaining: 5 })
+            Box::new(FuseOrg {
+                remaining: 5,
+                _live: None,
+            })
         })
         .expect("checkpoint dir is writable");
         assert_eq!(broken.failed(), 1);

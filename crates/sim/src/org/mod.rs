@@ -52,9 +52,8 @@ pub struct OrgResult {
 /// Accesses carry *virtual* line addresses; the organization performs its
 /// own translation, paging, and device routing.
 ///
-/// `Send` is a supertrait: the chunked sweep engine parks an in-progress
-/// point's organization between chunks and lets any worker resume it, so
-/// a boxed organization must be free to migrate across threads.
+/// `Send` is a supertrait: a boxed organization, like the paused
+/// [`crate::runner::RunSession`] that drives it, may move between threads.
 pub trait MemoryOrganization: Send {
     /// Short label for reports (e.g. `"CAMEO"`, `"TLM-Dynamic"`).
     fn name(&self) -> &'static str;

@@ -1,4 +1,4 @@
-//! The scoped-thread work-stealing pool behind parallel sweeps.
+//! The scoped-thread worker pool behind parallel sweeps.
 //!
 //! This is the one module in the workspace that creates threads (enforced
 //! by the `thread-spawn` xtask lint), and it only ever creates *scoped*
@@ -7,29 +7,12 @@
 //! the sweep returns — no detached thread can outlive the data it
 //! borrows or leak past a sweep.
 //!
-//! Work distribution is per-worker Chase–Lev deques (owner pushes and
-//! pops at the bottom, thieves steal at the top) instead of a single
-//! shared claim cursor. The deques buy two things the cursor could not:
-//!
-//! 1. **Stealable continuations.** A task may *yield* instead of
-//!    finishing ([`TaskStatus::Yield`]); the worker re-pushes it and goes
-//!    back to claiming. The harness uses this to split one long sweep
-//!    point into epoch-sized chunks, so a 23 ms point no longer
-//!    serializes the tail of a sweep — idle workers steal the parked
-//!    continuation and run its next chunk.
-//! 2. **Locality by default.** A worker drains its own deque LIFO before
-//!    stealing FIFO from a victim, so a yielded point is usually resumed
-//!    by the worker whose caches are still warm with it.
-//!
-//! The push/pop/steal protocol is verified by an exhaustive
-//! interleaving model (see the `interleavings` test module): every
-//! owner-plus-two-thieves schedule at atomic-step granularity is
-//! enumerated and checked for double-claims and lost tasks. All deque
-//! atomics are `SeqCst`: the operations run once per *chunk* (tens of
-//! microseconds to milliseconds of simulation), so the cost of the
-//! strongest ordering is unmeasurable, and it keeps the verified model —
-//! which assumes a single total order of steps — an honest description
-//! of the implementation.
+//! Work distribution is a single shared atomic cursor over `0..count`:
+//! each worker claims the next index with `fetch_add` and runs that task
+//! to completion, until the range is exhausted or the pool is cancelled.
+//! Dynamic claiming keeps every worker busy while unclaimed tasks remain,
+//! however uneven their runtimes; a worker that finds the range exhausted
+//! exits, so at most `jobs` tasks are ever in flight.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -55,183 +38,46 @@ impl Cancel {
     }
 }
 
-/// What a pool task's invocation left behind.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum TaskStatus {
-    /// The task is finished and must not be invoked again.
-    Done,
-    /// The task ran one chunk and parked resumable state; re-queue it.
-    /// Any worker may run the next chunk — never two at once, because the
-    /// id is claimed from the deques exactly once per push.
-    Yield,
-}
-
-/// A Chase–Lev work-stealing deque over task indices, in safe Rust.
-///
-/// The owner pushes and pops at the *bottom*; thieves steal at the *top*.
-/// `top` and `bottom` are monotonically-increasing virtual indices mapped
-/// onto `slots` by modulo. Capacity is fixed at `count + 1` for a pool of
-/// `count` tasks, which makes the classic stale-slot steal hazard
-/// structurally impossible: a steal at index `t` can only read a stale
-/// value if some push at `b' ≥ t + capacity` overwrote the slot while
-/// `top` was still `t`, which would require `b' - t > count` live
-/// entries — more than the total number of tasks in existence.
-struct Deque {
-    top: AtomicUsize,
-    bottom: AtomicUsize,
-    slots: Box<[AtomicUsize]>,
-}
-
-impl Deque {
-    fn new(capacity: usize) -> Self {
-        Self {
-            top: AtomicUsize::new(0),
-            bottom: AtomicUsize::new(0),
-            slots: (0..capacity).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
-    /// Owner-only: makes `task` available at the bottom.
-    fn push(&self, task: usize) {
-        let b = self.bottom.load(Ordering::SeqCst);
-        let slot = &self.slots[b % self.slots.len()];
-        slot.store(task, Ordering::SeqCst);
-        self.bottom.store(b.wrapping_add(1), Ordering::SeqCst);
-    }
-
-    /// Owner-only: claims the most recently pushed task, racing thieves
-    /// for the last element.
-    fn pop(&self) -> Option<usize> {
-        let b0 = self.bottom.load(Ordering::SeqCst);
-        if b0 == 0 {
-            // Nothing was ever pushed that is still reachable: `bottom`
-            // only rests at 0 before the first push of this deque's
-            // lifetime (restores always return it to its pre-pop value).
-            return None;
-        }
-        let b = b0 - 1;
-        // Publish the claim-in-progress, then look at the top.
-        self.bottom.store(b, Ordering::SeqCst);
-        let t = self.top.load(Ordering::SeqCst);
-        if t > b {
-            // Empty: a thief already took everything. Restore.
-            self.bottom.store(b0, Ordering::SeqCst);
-            return None;
-        }
-        let slot = &self.slots[b % self.slots.len()];
-        if t < b {
-            // More than one element: the bottom one is uncontended.
-            return Some(slot.load(Ordering::SeqCst));
-        }
-        // Exactly one element: race any thief for it by advancing `top`.
-        let top = &self.top;
-        let race = top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst);
-        self.bottom.store(b0, Ordering::SeqCst);
-        race.is_ok().then(|| slot.load(Ordering::SeqCst))
-    }
-
-    /// Thief: claims the oldest task. `None` means empty *or* lost a
-    /// race; callers are retry loops either way.
-    fn steal(&self) -> Option<usize> {
-        let t = self.top.load(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::SeqCst);
-        if t >= b {
-            return None;
-        }
-        let slot = &self.slots[t % self.slots.len()];
-        let task = slot.load(Ordering::SeqCst);
-        let top = &self.top;
-        let race = top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst);
-        race.is_ok().then_some(task)
-    }
-}
-
 /// Runs `task(0..count)` across at most `jobs` scoped worker threads and
-/// returns once every task has reported [`TaskStatus::Done`] (or the
-/// pool was cancelled). Each task id is live on exactly one worker at a
-/// time; a [`TaskStatus::Yield`] re-queues it on the yielding worker's
-/// own deque, from which any worker (that one first) may claim it again.
-///
-/// After [`Cancel::cancel`]: no new ids are claimed; a worker holding a
-/// yielding task runs it to `Done` rather than parking it (a started
-/// task is never stranded half-run inside a worker); ids already parked
-/// in deques are abandoned — the cancelling caller is reporting a sweep-
-/// fatal error and will discard partial results anyway.
+/// returns once every claimed task has finished. Each index is claimed
+/// exactly once; after [`Cancel::cancel`], unclaimed indices are skipped.
 ///
 /// With `jobs <= 1` (or a single task) the tasks run inline on the
-/// calling thread, in index order, each driven to `Done` before the
-/// next starts — byte-for-byte the serial code path, no threads.
-pub(crate) fn run_chunked<F>(jobs: usize, count: usize, task: F)
+/// calling thread, in index order — byte-for-byte the serial code path,
+/// no threads.
+pub(crate) fn for_each<F>(jobs: usize, count: usize, task: F)
 where
-    F: Fn(usize, &Cancel) -> TaskStatus + Sync,
+    F: Fn(usize, &Cancel) + Sync,
 {
     let cancel = Cancel::default();
+    let next = AtomicUsize::new(0);
+    // The claim itself is the whole protocol: `fetch_add` hands out each
+    // index once, task results flow through the caller's own cells, and
+    // the scope join publishes them.
+    let claim = || {
+        if cancel.is_cancelled() {
+            return None;
+        }
+        let n = next.fetch_add(1, Ordering::Relaxed);
+        (n < count).then_some(n)
+    };
     let workers = jobs.min(count);
     if workers <= 1 {
-        for n in 0..count {
-            if cancel.is_cancelled() {
-                break;
-            }
-            while task(n, &cancel) == TaskStatus::Yield {}
+        while let Some(n) = claim() {
+            task(n, &cancel);
         }
         return;
     }
-
-    // Capacity `count + 1` per deque: any single deque can in the worst
-    // case hold every live task (a worker that stole widely and had them
-    // all yield), and the +1 headroom is what the stale-slot argument in
-    // [`Deque`]'s docs rests on.
-    let deques: Vec<Deque> = (0..workers).map(|_| Deque::new(count + 1)).collect();
-    // Strided initial distribution, pushed in reverse so the LIFO owner
-    // pop sees ascending indices — worker 0 starts on task 0, matching
-    // the old cursor pool's claim order when nothing yields.
-    for (w, deque) in deques.iter().enumerate() {
-        for n in (w..count).step_by(workers).rev() {
-            deque.push(n);
-        }
-    }
-    let completed = AtomicUsize::new(0);
-
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let deques = &deques;
-            let completed = &completed;
+            let claim = &claim;
             let cancel = &cancel;
             let task = &task;
             std::thread::Builder::new()
                 .name(format!("cameo-sweep-{w}"))
-                .spawn_scoped(scope, move || loop {
-                    let claimed = if cancel.is_cancelled() {
-                        None
-                    } else {
-                        deques[w].pop().or_else(|| {
-                            (1..workers).find_map(|i| deques[(w + i) % workers].steal())
-                        })
-                    };
-                    let Some(id) = claimed else {
-                        if cancel.is_cancelled() || completed.load(Ordering::SeqCst) == count {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    loop {
-                        match task(id, cancel) {
-                            TaskStatus::Done => {
-                                completed.fetch_add(1, Ordering::SeqCst);
-                                break;
-                            }
-                            TaskStatus::Yield => {
-                                if cancel.is_cancelled() {
-                                    // Drive the started task home instead
-                                    // of stranding its state in a deque no
-                                    // one will drain.
-                                    continue;
-                                }
-                                deques[w].push(id);
-                                break;
-                            }
-                        }
+                .spawn_scoped(scope, move || {
+                    while let Some(n) = claim() {
+                        task(n, cancel);
                     }
                 })
                 .expect("spawning a scoped worker fails only on OS thread exhaustion");
@@ -245,22 +91,9 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::Mutex;
 
-    /// The run-to-completion special case of [`run_chunked`]: every
-    /// invocation finishes its task — the old claim-cursor pool's
-    /// contract, which these tests pin on the deque engine.
-    fn for_each_indexed<F>(jobs: usize, count: usize, task: F)
-    where
-        F: Fn(usize, &Cancel) + Sync,
-    {
-        run_chunked(jobs, count, |n, cancel| {
-            task(n, cancel);
-            TaskStatus::Done
-        });
-    }
-
     fn run_and_collect(jobs: usize, count: usize) -> Vec<usize> {
         let seen = Mutex::new(Vec::new());
-        for_each_indexed(jobs, count, |n, _| {
+        for_each(jobs, count, |n, _| {
             seen.lock()
                 .expect("no test task panics while recording")
                 .push(n);
@@ -297,7 +130,7 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         // Serial pool: cancelling in the first task must leave the rest
         // unclaimed, deterministically.
-        for_each_indexed(1, 100, |n, cancel| {
+        for_each(1, 100, |n, cancel| {
             seen.lock()
                 .expect("no test task panics while recording")
                 .push(n);
@@ -309,378 +142,11 @@ mod tests {
     #[test]
     fn parallel_cancel_bounds_claims() {
         let ran = AtomicUsize::new(0);
-        for_each_indexed(4, 1000, |_, cancel| {
+        for_each(4, 1000, |_, cancel| {
             ran.fetch_add(1, Ordering::Relaxed);
             cancel.cancel();
         });
         // At most one in-flight task per worker after the first cancel.
         assert!(ran.load(Ordering::Relaxed) <= 4);
-    }
-
-    #[test]
-    fn yielding_tasks_run_to_completion_chunked() {
-        // Each task yields `n % 3` times before finishing; every task's
-        // invocation count must be exactly yields + 1, at every job count.
-        const COUNT: usize = 17;
-        for jobs in [1, 2, 4] {
-            let invocations: Vec<AtomicUsize> = (0..COUNT).map(|_| AtomicUsize::new(0)).collect();
-            run_chunked(jobs, COUNT, |n, _| {
-                let prior = invocations[n].fetch_add(1, Ordering::Relaxed);
-                if prior < n % 3 {
-                    TaskStatus::Yield
-                } else {
-                    TaskStatus::Done
-                }
-            });
-            for (n, inv) in invocations.iter().enumerate() {
-                assert_eq!(
-                    inv.load(Ordering::Relaxed),
-                    n % 3 + 1,
-                    "task {n} at jobs={jobs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn serial_chunked_interleaves_nothing() {
-        // jobs=1: each task is driven to Done before the next starts, so
-        // the invocation log is n repeated (yields+1) times, in order.
-        let log = Mutex::new(Vec::new());
-        let counts = [2usize, 0, 1];
-        run_chunked(1, 3, |n, _| {
-            let mut log = log.lock().expect("serial task records");
-            log.push(n);
-            let so_far = log.iter().filter(|&&x| x == n).count();
-            drop(log);
-            if so_far <= counts[n] {
-                TaskStatus::Yield
-            } else {
-                TaskStatus::Done
-            }
-        });
-        assert_eq!(
-            log.into_inner().expect("pool returned"),
-            vec![0, 0, 0, 1, 2, 2]
-        );
-    }
-
-    #[test]
-    fn cancelled_yielding_task_still_finishes() {
-        // A task that cancels and then yields must still be driven to
-        // Done by the worker holding it (never stranded), serial and
-        // parallel alike.
-        for jobs in [1, 4] {
-            let invocations: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-            run_chunked(jobs, 8, |n, cancel| {
-                cancel.cancel();
-                if invocations[n].fetch_add(1, Ordering::Relaxed) == 0 {
-                    TaskStatus::Yield
-                } else {
-                    TaskStatus::Done
-                }
-            });
-            // Every task that *started* was driven through its Yield to
-            // Done (exactly two invocations); unstarted tasks stay at 0.
-            let counts: Vec<usize> = invocations
-                .iter()
-                .map(|inv| inv.load(Ordering::Relaxed))
-                .collect();
-            assert!(
-                counts.iter().all(|&c| c == 0 || c == 2),
-                "jobs={jobs}: {counts:?}"
-            );
-            assert!(counts.contains(&2), "jobs={jobs}");
-        }
-    }
-
-    /// Exhaustive-interleaving check of the Chase–Lev deque protocol.
-    ///
-    /// The deque in this module is claimed to be safe under any
-    /// interleaving of one owner and any number of thieves. This model
-    /// enumerates *every* schedule of one owner plus two thieves over a
-    /// single deque at atomic-step granularity (DFS over the
-    /// interleaving tree, memoized on the exact shared state — the
-    /// continuation of [`crate::pool`]'s PR 5 cursor model) and asserts
-    /// the two properties the sweep engine rests on:
-    ///
-    /// - **uniqueness**: no push is ever claimed twice (a double-claim
-    ///   would run one sweep chunk on two workers at once);
-    /// - **completeness**: at every terminal schedule, every push has
-    ///   been claimed exactly once (no task is lost in the deque).
-    ///
-    /// Two owner programs are explored: plain push-all-then-pop-all, and
-    /// a variant that re-pushes the first task it pops (modeling a
-    /// [`TaskStatus::Yield`] continuation re-entering the deque — a
-    /// thief's re-push lands in the *thief's own* deque, a disjoint
-    /// instance of this same protocol, so the single-deque model
-    /// covers it). Every load, store and CAS of `top`, `bottom` and the
-    /// slots is its own step; `SeqCst` everywhere in the implementation
-    /// is what licenses modeling them as one global interleaving.
-    mod interleavings {
-        use std::collections::BTreeSet;
-
-        const THIEVES: usize = 2;
-        const MAX_TASKS: usize = 3;
-        /// Slot array bound: `count + 1` for the largest driven count.
-        const CAP_MAX: usize = MAX_TASKS + 1;
-
-        // Owner phases.
-        const O_PUSH_READ_B: u8 = 0;
-        const O_PUSH_WRITE_SLOT: u8 = 1;
-        const O_PUSH_WRITE_B: u8 = 2;
-        const O_POP_READ_B: u8 = 3;
-        const O_POP_WRITE_B: u8 = 4;
-        const O_POP_READ_T: u8 = 5;
-        const O_POP_CAS: u8 = 6;
-        const O_POP_RESTORE_WON: u8 = 7;
-        const O_POP_RESTORE_LOST: u8 = 8;
-        const O_POP_RESTORE_EMPTY: u8 = 9;
-        const O_DONE: u8 = 10;
-
-        // Thief phases.
-        const T_READ_TOP: u8 = 0;
-        const T_READ_BOT: u8 = 1;
-        const T_READ_SLOT: u8 = 2;
-        const T_CAS: u8 = 3;
-        const T_DONE: u8 = 4;
-
-        /// The exact shared state of the modeled deque plus each agent's
-        /// program counter and registers. Fixed-size arrays throughout so
-        /// the state is `Copy + Ord` and memoizable in a `BTreeSet`.
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        struct State {
-            top: u8,
-            bottom: u8,
-            slots: [u8; CAP_MAX],
-            o_phase: u8,
-            /// Pop: the decremented bottom. Push: the slot index basis.
-            o_b: u8,
-            /// Pop: the loaded top.
-            o_t: u8,
-            /// Push: the task id being pushed.
-            o_task: u8,
-            /// Initial pushes not yet started.
-            o_pushes_left: u8,
-            /// Re-push of the first popped task still owed (variant 2).
-            o_repush_owed: bool,
-            t_phase: [u8; THIEVES],
-            t_t: [u8; THIEVES],
-            t_task: [u8; THIEVES],
-            pushes: [u8; MAX_TASKS],
-            claims: [u8; MAX_TASKS],
-        }
-
-        /// Records a claim of `task`, asserting it never outruns the
-        /// pushes made so far (uniqueness: one claim per push).
-        fn claim(s: &mut State, task: u8, who: &str) {
-            let t = task as usize;
-            assert!(
-                s.claims[t] < s.pushes[t],
-                "{who} double-claimed task {task} in some schedule"
-            );
-            s.claims[t] += 1;
-        }
-
-        /// Owner bookkeeping after a successful pop of `task`: either
-        /// start the owed re-push of it or go back to popping.
-        fn after_owner_claim(s: &mut State, task: u8) {
-            claim(s, task, "owner");
-            if s.o_repush_owed {
-                s.o_repush_owed = false;
-                s.o_task = task;
-                s.o_phase = O_PUSH_READ_B;
-            } else {
-                s.o_phase = O_POP_READ_B;
-            }
-        }
-
-        /// One owner step. Returns `false` if the owner has no step to
-        /// take (already DONE).
-        fn step_owner(s: &mut State, cap: usize) -> bool {
-            match s.o_phase {
-                O_PUSH_READ_B => {
-                    s.o_b = s.bottom;
-                    s.o_phase = O_PUSH_WRITE_SLOT;
-                }
-                O_PUSH_WRITE_SLOT => {
-                    s.slots[s.o_b as usize % cap] = s.o_task;
-                    s.o_phase = O_PUSH_WRITE_B;
-                }
-                O_PUSH_WRITE_B => {
-                    s.bottom = s.o_b + 1;
-                    s.pushes[s.o_task as usize] += 1;
-                    if s.o_pushes_left > 0 {
-                        // Next initial push: ids are issued in order.
-                        s.o_pushes_left -= 1;
-                        if s.o_pushes_left > 0 {
-                            s.o_task += 1;
-                            s.o_phase = O_PUSH_READ_B;
-                        } else {
-                            s.o_phase = O_POP_READ_B;
-                        }
-                    } else {
-                        // That was the re-push; back to popping.
-                        s.o_phase = O_POP_READ_B;
-                    }
-                }
-                O_POP_READ_B => {
-                    if s.bottom == 0 {
-                        s.o_phase = O_DONE;
-                    } else {
-                        s.o_b = s.bottom - 1;
-                        s.o_phase = O_POP_WRITE_B;
-                    }
-                }
-                O_POP_WRITE_B => {
-                    s.bottom = s.o_b;
-                    s.o_phase = O_POP_READ_T;
-                }
-                O_POP_READ_T => {
-                    s.o_t = s.top;
-                    if s.o_t < s.o_b {
-                        // Uncontended take; the slot read is local (no
-                        // thief writes slots), so it folds into this step.
-                        let task = s.slots[s.o_b as usize % cap];
-                        after_owner_claim(s, task);
-                    } else if s.o_t == s.o_b {
-                        s.o_phase = O_POP_CAS;
-                    } else {
-                        s.o_phase = O_POP_RESTORE_EMPTY;
-                    }
-                }
-                O_POP_CAS => {
-                    if s.top == s.o_t {
-                        s.top += 1;
-                        s.o_phase = O_POP_RESTORE_WON;
-                    } else {
-                        s.o_phase = O_POP_RESTORE_LOST;
-                    }
-                }
-                O_POP_RESTORE_WON => {
-                    s.bottom = s.o_b + 1;
-                    let task = s.slots[s.o_b as usize % cap];
-                    after_owner_claim(s, task);
-                }
-                O_POP_RESTORE_LOST => {
-                    // Lost the last element to a thief: deque is empty
-                    // for the owner. Restore and finish.
-                    s.bottom = s.o_b + 1;
-                    s.o_phase = O_DONE;
-                }
-                O_POP_RESTORE_EMPTY => {
-                    s.bottom = s.o_b + 1;
-                    s.o_phase = O_DONE;
-                }
-                _ => return false,
-            }
-            true
-        }
-
-        /// One step of thief `i`. Returns `false` if it has none to take.
-        fn step_thief(s: &mut State, i: usize, cap: usize) -> bool {
-            match s.t_phase[i] {
-                T_READ_TOP => {
-                    s.t_t[i] = s.top;
-                    s.t_phase[i] = T_READ_BOT;
-                }
-                T_READ_BOT => {
-                    if s.t_t[i] >= s.bottom {
-                        // Empty from this thief's view. Once the owner is
-                        // done no new pushes can appear, so an empty
-                        // observation is final; otherwise retry.
-                        s.t_phase[i] = if s.o_phase == O_DONE {
-                            T_DONE
-                        } else {
-                            T_READ_TOP
-                        };
-                    } else {
-                        s.t_phase[i] = T_READ_SLOT;
-                    }
-                }
-                T_READ_SLOT => {
-                    s.t_task[i] = s.slots[s.t_t[i] as usize % cap];
-                    s.t_phase[i] = T_CAS;
-                }
-                T_CAS => {
-                    if s.top == s.t_t[i] {
-                        s.top += 1;
-                        let task = s.t_task[i];
-                        claim(s, task, "thief");
-                    }
-                    s.t_phase[i] = T_READ_TOP;
-                }
-                _ => return false,
-            }
-            true
-        }
-
-        fn explore(count: usize, repush_first_pop: bool) {
-            let start = State {
-                top: 0,
-                bottom: 0,
-                slots: [0; CAP_MAX],
-                o_phase: O_PUSH_READ_B,
-                o_b: 0,
-                o_t: 0,
-                o_task: 0,
-                o_pushes_left: count as u8,
-                o_repush_owed: repush_first_pop,
-                t_phase: [T_READ_TOP; THIEVES],
-                t_t: [0; THIEVES],
-                t_task: [0; THIEVES],
-                pushes: [0; MAX_TASKS],
-                claims: [0; MAX_TASKS],
-            };
-            let cap = count + 1;
-            let mut seen: BTreeSet<State> = BTreeSet::new();
-            let mut stack = vec![start];
-            let mut terminals = 0usize;
-            while let Some(state) = stack.pop() {
-                if !seen.insert(state) {
-                    continue;
-                }
-                if state.o_phase == O_DONE && state.t_phase.iter().all(|&pc| pc == T_DONE) {
-                    terminals += 1;
-                    let pushed: usize = state.pushes.iter().map(|&p| p as usize).sum();
-                    // The re-push only happens if the owner itself won a
-                    // pop; when a thief claims the task first, the
-                    // "yield" re-push would land in the thief's own
-                    // deque, outside this model instance.
-                    let expected = count + usize::from(repush_first_pop && !state.o_repush_owed);
-                    assert_eq!(pushed, expected, "owner retired without making every push");
-                    assert_eq!(
-                        state.claims, state.pushes,
-                        "a pushed task was lost (claims != pushes at a terminal)"
-                    );
-                    continue;
-                }
-                let mut s = state;
-                if step_owner(&mut s, cap) {
-                    stack.push(s);
-                }
-                for i in 0..THIEVES {
-                    let mut s = state;
-                    if step_thief(&mut s, i, cap) {
-                        stack.push(s);
-                    }
-                }
-            }
-            assert!(terminals > 0, "no terminal schedule reached");
-        }
-
-        #[test]
-        fn all_owner_thief_schedules_claim_each_push_exactly_once() {
-            for count in 1..=MAX_TASKS {
-                explore(count, false);
-            }
-        }
-
-        #[test]
-        fn all_schedules_with_a_yield_repush_stay_unique_and_complete() {
-            for count in 1..=MAX_TASKS {
-                explore(count, true);
-            }
-        }
     }
 }

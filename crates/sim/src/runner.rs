@@ -205,10 +205,8 @@ pub enum SessionStatus {
 /// code* the one-shot [`Runner::try_run_with_streams`] path executes, so
 /// a run split into chunks of any size retires the identical event
 /// sequence and produces bit-identical [`RunStats`] — the property the
-/// work-stealing sweep engine's determinism guarantee rests on. The
-/// session owns no organization: the caller passes `org` to every step,
-/// which is what lets a sweep worker park the pair and another worker
-/// steal and resume it.
+/// chunked sweep engine's determinism guarantee rests on. The session
+/// owns no organization: the caller passes `org` to every step.
 pub struct RunSession<S> {
     bench: String,
     cores: Vec<CoreState<S>>,

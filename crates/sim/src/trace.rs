@@ -296,7 +296,7 @@ const EVENT_BLOCK: usize = 1024;
 /// A growing `Vec` doubles by reallocate-and-copy, so a near-cap recording
 /// copies every retained event O(log n) times and briefly holds 1.5× the
 /// stream in memory mid-reallocation — per in-flight sweep point, with the
-/// work-stealing pool keeping several points' recordings alive at once.
+/// worker pool keeping several points' recordings alive at once.
 /// Blocks never move once allocated: a push is amortized one pointer bump,
 /// and memory grows in `EVENT_BLOCK` steps instead of doubling.
 ///

@@ -100,14 +100,13 @@ impl Hasher for DetHasher {
 }
 
 /// A SplitMix64 pseudo-random stream: tiny, fast, and statistically
-/// strong enough for fault sampling and retry jitter.
+/// strong enough for fault sampling.
 ///
 /// This is the workspace's one seeded PRNG for infrastructure-level
-/// randomness (the fault injector draws from it, and the sweep harness
-/// derives retry-backoff jitter from it), kept in `cameo-types` so every
-/// layer shares the same deterministic stream definition. Workload
-/// generation keeps using the vendored `rand` crate; this type is for
-/// places that must stay dependency-free.
+/// randomness (the fault injector draws from it), kept in `cameo-types`
+/// so every layer shares the same deterministic stream definition.
+/// Workload generation keeps using the vendored `rand` crate; this type
+/// is for places that must stay dependency-free.
 #[derive(Clone, Copy, Debug)]
 pub struct SplitMix64 {
     state: u64,

@@ -69,27 +69,31 @@ fn class_for(name: &str) -> FileClass {
 /// Lints every in-scope source file under `root` with default options,
 /// returning diagnostics in deterministic (path, line, rule) order.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    lint_workspace_with(root, &LintOptions::default())
+    Ok(lint_model(&scan_workspace(root, &LintOptions::default())?))
 }
 
-/// [`lint_workspace`] with explicit [`LintOptions`].
-pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> io::Result<Vec<Diagnostic>> {
+/// Scans every in-scope source file and manifest under `root` into the
+/// cross-file model the passes read.
+pub fn scan_workspace(root: &Path, opts: &LintOptions) -> io::Result<WorkspaceModel> {
     let files = workspace_files(root)?;
-    let facts = scan_files(root, &files, opts.jobs.max(1))?;
-    let model = WorkspaceModel {
-        files: facts,
+    Ok(WorkspaceModel {
+        files: scan_files(root, &files, opts.jobs.max(1))?,
         manifests: model::load_manifests(root),
-    };
+    })
+}
 
+/// Runs the per-line rules and every pass over `model`, returning
+/// diagnostics in deterministic (path, line, rule) order.
+pub fn lint_model(model: &WorkspaceModel) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
     for file in &model.files {
         diagnostics.extend(check_file(&file.path, file.class, &file.src));
     }
-    diagnostics.extend(determinism::run(&model));
-    diagnostics.extend(concurrency::run(&model));
-    diagnostics.extend(layering::run(&model));
+    diagnostics.extend(determinism::run(model));
+    diagnostics.extend(concurrency::run(model));
+    diagnostics.extend(layering::run(model));
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(diagnostics)
+    diagnostics
 }
 
 /// The sorted in-scope file list: absolute path, owning crate directory,
@@ -329,13 +333,20 @@ mod tests {
     }
 
     /// The real workspace must lint *exactly to the baseline* — no fresh
-    /// findings, no stale accepted entries. This makes `cargo test`
-    /// enforce the deny-by-default gate even where CI scripts are not
-    /// used.
+    /// findings, no stale accepted entries, no atomic-protocol table
+    /// entry without a site. This makes `cargo test` enforce the
+    /// deny-by-default gate even where CI scripts are not used.
     #[test]
     fn workspace_findings_match_baseline() {
         let root = workspace_root();
-        let diags = lint_workspace(&root).expect("workspace sources are readable");
+        let model =
+            scan_workspace(&root, &LintOptions::default()).expect("workspace sources are readable");
+        let unmatched = concurrency::unmatched_entries(&model);
+        assert!(
+            unmatched.is_empty(),
+            "ATOMIC_PROTOCOL_TABLE entries match no site:\n{unmatched:?}"
+        );
+        let diags = lint_model(&model);
         let baseline =
             Baseline::load(&root.join(baseline::BASELINE_FILE)).expect("lint-baseline.json parses");
         let check = baseline.check(&diags);
@@ -363,12 +374,13 @@ mod tests {
     fn parallel_scan_is_deterministic() {
         let root = xtask_dir().join("fixtures");
         let render = |jobs: usize| {
-            lint_workspace_with(&root, &LintOptions { jobs })
-                .expect("fixture tree is readable")
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
+            lint_model(
+                &scan_workspace(&root, &LintOptions { jobs }).expect("fixture tree is readable"),
+            )
+            .iter()
+            .map(std::string::ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
         };
         let serial = render(1);
         for jobs in [2, 4, 13] {

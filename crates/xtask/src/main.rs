@@ -7,7 +7,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xtask::baseline::{self, Baseline};
-use xtask::engine::{lint_workspace_with, LintOptions};
+use xtask::engine::{lint_model, scan_workspace, LintOptions};
+use xtask::passes::concurrency;
 
 /// Exit code for usage / IO errors (violations exit with 1).
 const USAGE_ERROR: u8 = 2;
@@ -148,12 +149,20 @@ fn lint(flags: &[String]) -> ExitCode {
     let opts = LintOptions {
         jobs: flags.jobs.unwrap_or_else(xtask::engine::default_jobs),
     };
-    let diags = match lint_workspace_with(&root, &opts) {
-        Ok(diags) => diags,
+    let model = match scan_workspace(&root, &opts) {
+        Ok(model) => model,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(USAGE_ERROR);
         }
+    };
+    let diags = lint_model(&model);
+    // The atomic-protocol table describes the workspace; the fixture tree
+    // holds only a few of its sites, so only a workspace lint checks it.
+    let stale_protocol = if flags.fixtures {
+        Vec::new()
+    } else {
+        concurrency::unmatched_entries(&model)
     };
 
     // The fixture tree is linted without a baseline: every seed must fire.
@@ -206,8 +215,16 @@ fn lint(flags: &[String]) -> ExitCode {
                 entry.path, entry.line, entry.rule
             );
         }
+        for entry in &stale_protocol {
+            println!(
+                "{}: error[stale-protocol]: `ATOMIC_PROTOCOL_TABLE` entry \
+                 `{}.{}` matches no site; delete it from \
+                 crates/xtask/src/passes/concurrency.rs",
+                entry.file, entry.receiver, entry.method
+            );
+        }
     }
-    let clean = check.fresh.is_empty() && check.stale.is_empty();
+    let clean = check.fresh.is_empty() && check.stale.is_empty() && stale_protocol.is_empty();
     if !flags.json {
         if clean {
             println!(
@@ -216,9 +233,11 @@ fn lint(flags: &[String]) -> ExitCode {
             );
         } else {
             println!(
-                "xtask lint: {} fresh finding(s), {} stale baseline entr(ies)",
+                "xtask lint: {} fresh finding(s), {} stale baseline entr(ies), \
+                 {} stale protocol entr(ies)",
                 check.fresh.len(),
-                check.stale.len()
+                check.stale.len(),
+                stale_protocol.len()
             );
         }
     }

@@ -184,7 +184,6 @@ pub fn dir_for_package(name: &str) -> Option<&'static str> {
         "cameo-workloads" => "workloads",
         "cameo-sim" => "sim",
         "cameo-trace" => "trace",
-        "cameo-sweepd" => "sweepd",
         "cameo-bench" => "bench",
         "xtask" => "xtask",
         _ => return None,
@@ -202,7 +201,6 @@ pub fn dir_for_ident(ident: &str) -> Option<&'static str> {
         "cameo_workloads" => "workloads",
         "cameo_sim" => "sim",
         "cameo_trace" => "trace",
-        "cameo_sweepd" => "sweepd",
         "cameo_bench" => "bench",
         _ => return None,
     })
@@ -496,7 +494,6 @@ mod tests {
             ("cameo-types", "cameo_types"),
             ("cameo", "cameo"),
             ("cameo-sim", "cameo_sim"),
-            ("cameo-sweepd", "cameo_sweepd"),
             ("cameo-bench", "cameo_bench"),
         ] {
             assert_eq!(dir_for_package(pkg), dir_for_ident(ident));

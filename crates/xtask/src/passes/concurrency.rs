@@ -5,9 +5,12 @@
 //!   an entry of [`ATOMIC_PROTOCOL`], the workspace's declared table of
 //!   atomic call sites. The table records *why* each ordering is
 //!   sufficient; a new atomic (or a changed ordering) fails the lint
-//!   until it is registered with a justification. This is the static
-//!   counterpart of the TSan CI job: TSan checks the executions we
-//!   happen to run, the table makes the intended protocol reviewable.
+//!   until it is registered with a justification, and an entry that no
+//!   site matches any more fails the workspace lint too
+//!   ([`unmatched_entries`]), so the table never documents a protocol
+//!   the code has dropped. This is the static counterpart of the TSan CI
+//!   job: TSan checks the executions we happen to run, the table makes
+//!   the intended protocol reviewable.
 //! * `lock-unwrap` — bare `.lock().unwrap()`. A panicking worker poisons
 //!   the mutex, and every later `.unwrap()` then panics too, cascading a
 //!   single fault across the sweep. Recover from poisoning explicitly
@@ -67,72 +70,12 @@ pub const ATOMIC_PROTOCOL_TABLE: &[AtomicUse] = &[
     },
     AtomicUse {
         file: "crates/sim/src/pool.rs",
-        receiver: "bottom",
-        method: "load",
-        orderings: &["SeqCst"],
-        why: "Chase–Lev deque index: the verified interleaving model assumes a \
-              single total order of deque steps, which only SeqCst provides; \
-              the ops run once per sweep chunk, so the cost is unmeasurable",
-    },
-    AtomicUse {
-        file: "crates/sim/src/pool.rs",
-        receiver: "bottom",
-        method: "store",
-        orderings: &["SeqCst"],
-        why: "Chase–Lev deque index: owner-side publish of pushes and pop \
-              claims; part of the SeqCst total order the interleaving model \
-              verifies",
-    },
-    AtomicUse {
-        file: "crates/sim/src/pool.rs",
-        receiver: "top",
-        method: "load",
-        orderings: &["SeqCst"],
-        why: "Chase–Lev deque index: emptiness check against racing steals; \
-              part of the SeqCst total order the interleaving model verifies",
-    },
-    AtomicUse {
-        file: "crates/sim/src/pool.rs",
-        receiver: "top",
-        method: "compare_exchange",
-        orderings: &["SeqCst"],
-        why: "Chase–Lev claim: the single linearization point of every steal \
-              and of the owner's last-element pop — the CAS that makes each \
-              task id claimable exactly once per push",
-    },
-    AtomicUse {
-        file: "crates/sim/src/pool.rs",
-        receiver: "slot",
-        method: "load",
-        orderings: &["SeqCst"],
-        why: "Chase–Lev slot read: safe because capacity = count + 1 makes \
-              stale-slot reuse structurally impossible; SeqCst keeps it in \
-              the model's total order",
-    },
-    AtomicUse {
-        file: "crates/sim/src/pool.rs",
-        receiver: "slot",
-        method: "store",
-        orderings: &["SeqCst"],
-        why: "Chase–Lev slot publish: ordered before the bottom-advance that \
-              makes the slot visible to thieves",
-    },
-    AtomicUse {
-        file: "crates/sim/src/pool.rs",
-        receiver: "completed",
+        receiver: "next",
         method: "fetch_add",
-        orderings: &["SeqCst"],
-        why: "pool termination count: each Done increments once; SeqCst so a \
-              worker's idle check never misses the final increment and spins \
-              forever",
-    },
-    AtomicUse {
-        file: "crates/sim/src/pool.rs",
-        receiver: "completed",
-        method: "load",
-        orderings: &["SeqCst"],
-        why: "pool termination check: pairs with the fetch_add above in one \
-              total order — the pool exits exactly when all tasks are Done",
+        orderings: &["Relaxed"],
+        why: "sweep claim cursor: `fetch_add` hands out each point index once; \
+              no other memory is published through it, because results flow \
+              through per-point mutex cells and the `thread::scope` join",
     },
     AtomicUse {
         file: "crates/xtask/src/engine.rs",
@@ -277,15 +220,47 @@ fn call_site(code: &str, ord_pos: usize) -> Option<(String, String)> {
 
 /// Whether `(file, site, ordering)` matches a protocol-table entry.
 fn is_registered(path: &std::path::Path, site: Option<&(String, String)>, ordering: &str) -> bool {
-    let Some((receiver, method)) = site else {
-        return false;
-    };
-    ATOMIC_PROTOCOL_TABLE.iter().any(|entry| {
+    ATOMIC_PROTOCOL_TABLE
+        .iter()
+        .any(|entry| entry_matches(entry, path, site, ordering))
+}
+
+/// Whether one protocol-table entry covers `(file, site, ordering)`.
+fn entry_matches(
+    entry: &AtomicUse,
+    path: &std::path::Path,
+    site: Option<&(String, String)>,
+    ordering: &str,
+) -> bool {
+    site.is_some_and(|(receiver, method)| {
         path.ends_with(entry.file)
             && entry.receiver == receiver
             && entry.method == method
             && entry.orderings.contains(&ordering)
     })
+}
+
+/// Protocol-table entries that no non-test site in `model` matches — the
+/// table's counterpart of a stale baseline entry. Only meaningful against
+/// the real workspace (the fixture tree holds a few of the sites), so the
+/// CLI and the baseline self-test check it there.
+pub fn unmatched_entries(model: &WorkspaceModel) -> Vec<&'static AtomicUse> {
+    let mut matched = [false; ATOMIC_PROTOCOL_TABLE.len()];
+    for file in &model.files {
+        for line in file.src.lines.iter().filter(|line| !line.in_test) {
+            for (pos, ordering) in ordering_sites(&line.code) {
+                let site = call_site(&line.code, pos);
+                for (entry, hit) in ATOMIC_PROTOCOL_TABLE.iter().zip(matched.iter_mut()) {
+                    *hit |= entry_matches(entry, &file.path, site.as_ref(), ordering);
+                }
+            }
+        }
+    }
+    ATOMIC_PROTOCOL_TABLE
+        .iter()
+        .zip(matched)
+        .filter_map(|(entry, hit)| (!hit).then_some(entry))
+        .collect()
 }
 
 /// Flags every `catch_unwind` that sits below a `.lock(` in the same
@@ -365,10 +340,65 @@ mod tests {
         out
     }
 
+    const POOL_SITES: &str = "fn f(&self) {\n self.flag.store(true, Ordering::Release);\n let c = self.flag.load(Ordering::Acquire);\n let n = next.fetch_add(1, Ordering::Relaxed);\n}";
+
     #[test]
     fn registered_pool_protocol_is_clean() {
-        let src = "fn f(&self) {\n self.flag.store(true, Ordering::Release);\n let c = self.flag.load(Ordering::Acquire);\n let b = self.bottom.load(Ordering::SeqCst);\n slot.store(task, Ordering::SeqCst);\n self.bottom.store(b, Ordering::SeqCst);\n let t = self.top.load(Ordering::SeqCst);\n let r = top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst);\n completed.fetch_add(1, Ordering::SeqCst);\n let c = completed.load(Ordering::SeqCst);\n}";
-        assert!(check("crates/sim/src/pool.rs", src).is_empty());
+        assert!(check("crates/sim/src/pool.rs", POOL_SITES).is_empty());
+    }
+
+    fn model_of(files: &[(&str, &str)]) -> WorkspaceModel {
+        WorkspaceModel {
+            files: files
+                .iter()
+                .map(|(path, src)| {
+                    FileFacts::extract(
+                        PathBuf::from(path),
+                        "sim".to_string(),
+                        FileClass {
+                            hot_path: false,
+                            addr_exempt: false,
+                        },
+                        SourceFile::parse(src),
+                    )
+                })
+                .collect(),
+            manifests: std::collections::BTreeMap::new(),
+        }
+    }
+
+    #[test]
+    fn table_entry_without_a_matching_site_is_unmatched() {
+        let engine = "fn scan() { let i = next.fetch_add(1, Ordering::Relaxed); }";
+        let all = model_of(&[
+            ("crates/sim/src/pool.rs", POOL_SITES),
+            ("crates/xtask/src/engine.rs", engine),
+        ]);
+        assert!(unmatched_entries(&all).is_empty());
+
+        // Dropping the cursor from the pool leaves its entry behind; the
+        // same site in a test module or another file does not match it.
+        let pool_without_cursor = "fn f(&self) {\n self.flag.store(true, Ordering::Release);\n let c = self.flag.load(Ordering::Acquire);\n}\n#[cfg(test)]\nmod tests {\n fn t() { next.fetch_add(1, Ordering::Relaxed); }\n}";
+        let stale = model_of(&[
+            ("crates/sim/src/pool.rs", pool_without_cursor),
+            ("crates/xtask/src/engine.rs", engine),
+        ]);
+        let unmatched = unmatched_entries(&stale);
+        assert_eq!(unmatched.len(), 1);
+        assert_eq!(
+            (
+                unmatched[0].file,
+                unmatched[0].receiver,
+                unmatched[0].method
+            ),
+            ("crates/sim/src/pool.rs", "next", "fetch_add")
+        );
+        // A file the table names but the tree lacks leaves every one of
+        // its entries unmatched.
+        assert_eq!(
+            unmatched_entries(&model_of(&[("crates/sim/src/pool.rs", POOL_SITES)])).len(),
+            1
+        );
     }
 
     #[test]

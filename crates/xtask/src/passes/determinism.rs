@@ -37,11 +37,8 @@ pub const UNORDERED_ITER: &str = "unordered-iter";
 /// The module defining the deterministic hasher may name std's types.
 pub const DET_HASH_EXEMPT_FILE: &str = "crates/types/src/hash.rs";
 
-/// Files allowed to read the host clock: the perf-metrics plumbing and
-/// the sweep daemon's single clock access point (job deadlines are wall
-/// time by design; every other daemon module must go through it).
-pub const WALL_CLOCK_EXEMPT_FILES: [&str; 2] =
-    ["crates/bench/src/perf.rs", "crates/sweepd/src/clock.rs"];
+/// Files allowed to read the host clock: the perf-metrics plumbing.
+pub const WALL_CLOCK_EXEMPT_FILES: [&str; 1] = ["crates/bench/src/perf.rs"];
 
 /// Crates where map iteration order can reach a report.
 pub const REPORT_CRATES: [&str; 2] = ["sim", "bench"];

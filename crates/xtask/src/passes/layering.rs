@@ -36,9 +36,6 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
         "sim",
         &["types", "memsim", "cachesim", "vmem", "core", "workloads"],
     ),
-    // The sweep daemon sits beside bench on top of the simulation stack:
-    // it schedules sim sweeps but produces no figures of its own.
-    ("sweepd", &["types", "core", "workloads", "sim"]),
     (
         "bench",
         &[
@@ -50,7 +47,6 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
             "workloads",
             "sim",
             "trace",
-            "sweepd",
         ],
     ),
     ("xtask", &[]),
