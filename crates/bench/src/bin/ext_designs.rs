@@ -25,7 +25,6 @@ fn main() {
     cli.emit(&grid.ranking_table());
     println!("\nMemCache split preference (measured vs Table II prediction)\n");
     cli.emit(&grid.split_preference_table());
-    cli.emit_perf("ext_designs", &grid.report);
     cli.emit_trace("ext_designs", &grid.report);
     println!(
         "MemCache trades cache capacity for OS-visible memory: large\n\

@@ -25,7 +25,6 @@ fn main() {
     if !cli.csv {
         println!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
-    cli.emit_perf("ext_dram_caches", &grid.report);
     cli.emit_trace("ext_dram_caches", &grid.report);
     println!(
         "Alloy's MICRO-2012 claim — a direct-mapped TAD cache beats the\n\

@@ -101,8 +101,7 @@ mod faulted {
                     println!(
                         "flags: --rates A,B,C --drop-ppm N --delay-ppm N --checkpoint PATH\n\
                          plus the shared set: --scale N --cores N --instructions N --seed N \
-                         --mlp N --bench NAME (repeatable) --jobs N --bench-json PATH \
-                         --quick --csv"
+                         --mlp N --bench NAME (repeatable) --jobs N --quick --csv"
                     );
                     std::process::exit(0);
                 }
@@ -305,8 +304,6 @@ mod faulted {
         }
         println!("Metadata faults vs. recovery policy — CPI and IPC delta vs fault-free\n");
         cli.emit(&table);
-
-        cli.emit_perf("ext_faults", &report);
 
         println!("\nRecovery activity (final attempt of each freshly-run point):");
         let reports = lock_sink(&sink);

@@ -6,20 +6,18 @@
 //! This is a *capacity* experiment, not a throughput one: the instruction
 //! slice stays fixed and calibrated-small while the memory system grows
 //! 128-fold, and the per-rung resident-set gauges (current / peak RSS,
-//! bytes per tracked line) show that the permutation-coded LLT, the
-//! sparse lazy page tables and the streaming trace path keep host memory
-//! flat. The deepest rung writes the `cameo-bench-sweep/1` artifact
-//! (`--bench-json`), whose `peak_rss_bytes` / `bytes_per_tracked_line`
-//! fields make the claim machine-checkable, and the `--trace-out` path
-//! streams ring-evicted epochs to `PATH.epochs/` instead of holding them
-//! in memory.
+//! bytes per tracked line) in the ladder table show that the
+//! permutation-coded LLT, the sparse lazy page tables and the streaming
+//! trace path keep host memory flat. On the deepest rung the
+//! `--trace-out` path streams ring-evicted epochs to `PATH.epochs/`
+//! instead of holding them in memory.
 //!
 //! Calibration: `--cores` / `--instructions` / `--bench` left at the
 //! experiment defaults are replaced by the micro-slice values (2 cores,
 //! 300 k instructions, `mcf`); pass non-default values to size the slice
 //! by hand.
 
-use cameo_bench::{fullscale, perf, print_header, Cli, SpeedupGrid};
+use cameo_bench::{fullscale, print_header, Cli, SpeedupGrid};
 use cameo_sim::report::Table;
 use cameo_sim::trace::TraceOptions;
 
@@ -49,8 +47,7 @@ fn main() {
         let mut rung = cli.clone();
         rung.config.scale = scale;
         if scale != deepest {
-            // Artifacts describe the deepest (headline) rung only.
-            rung.bench_json = None;
+            // The trace describes the deepest (headline) rung only.
             rung.trace_out = None;
         }
         let grid = match &rung.trace_out {
@@ -62,16 +59,15 @@ fn main() {
             }
             None => SpeedupGrid::collect(&kinds, &rung),
         };
-        rung.emit_perf("ext_fullscale", &grid.report);
         let tracked_lines = rung.config.total_memory().lines();
-        let peak = perf::peak_rss_bytes();
+        let peak = fullscale::peak_rss_bytes();
         let per_line = peak.map(|b| b as f64 / tracked_lines as f64);
         ladder_table.row(vec![
             format!("1/{scale}"),
             rung.config.stacked().to_string(),
             tracked_lines.to_string(),
             format!("{:.2}x", grid.gmean_all(3)),
-            mib(perf::current_rss_bytes()),
+            mib(fullscale::current_rss_bytes()),
             mib(peak),
             per_line.map_or_else(|| "n/a".to_owned(), |v| format!("{v:.2}")),
         ]);
@@ -95,6 +91,6 @@ fn main() {
     println!(
         "\npaper machine at --scale 1: 4 GiB stacked + 12 GiB off-chip; a flat \
          resident set well under the stacked capacity is the pass condition \
-         (gauge-checked via --bench-json and `cargo xtask bench-diff --max-rss-factor`)"
+         (the rss peak MiB column above)"
     );
 }

@@ -130,7 +130,6 @@ fn main() {
          baseline with only that split's off-chip share\n"
     );
     cli.emit(&table);
-    cli.emit_perf("ext_ratio_sweep", &report);
     println!(
         "\nAs the stacked share grows, a cache forfeits ever more OS-visible\n\
          capacity; CAMEO's advantage widens — the paper's core motivation."

@@ -19,7 +19,6 @@ fn main() {
     if !cli.csv {
         println!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
-    cli.emit_perf("fig02_motivation", &grid.report);
     cli.emit_trace("fig02_motivation", &grid.report);
     println!(
         "\npaper gmeans (ALL): Cache 1.50x, TLM-Static 1.33x, TLM-Dynamic 1.50x, DoubleUse 1.82x"

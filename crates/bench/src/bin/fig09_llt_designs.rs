@@ -34,7 +34,6 @@ fn main() {
     if !cli.csv {
         println!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
-    cli.emit_perf("fig09_llt_designs", &grid.report);
     cli.emit_trace("fig09_llt_designs", &grid.report);
     println!("\npaper gmeans (ALL): Embedded-LLT lower, Co-Located 1.74x, Ideal-LLT 1.80x");
 }

@@ -28,7 +28,6 @@ fn main() {
     if !cli.csv {
         println!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
-    cli.emit_perf("fig12_llp", &grid.report);
     cli.emit_trace("fig12_llp", &grid.report);
     println!("\npaper gmeans (ALL): SAM 1.74x, LLP 1.78x, Perfect 1.80x");
 }

@@ -20,7 +20,6 @@ fn main() {
     if !cli.csv {
         println!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
-    cli.emit_perf("fig13_speedup", &grid.report);
     cli.emit_trace("fig13_speedup", &grid.report);
     println!(
         "\npaper gmeans (ALL): Cache 1.50x, TLM-Static 1.33x, TLM-Dynamic 1.50x, \

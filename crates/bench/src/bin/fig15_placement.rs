@@ -19,7 +19,6 @@ fn main() {
     if !cli.csv {
         println!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
-    cli.emit_perf("fig15_placement", &grid.report);
     cli.emit_trace("fig15_placement", &grid.report);
     println!(
         "\npaper gmeans (ALL): TLM-Freq 1.61x, CAMEO 1.78x (CAMEO wins without tracking support)"

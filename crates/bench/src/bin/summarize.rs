@@ -6,14 +6,11 @@
 //! cargo run --release -p cameo-bench --bin summarize -- --bench gcc
 //! ```
 //!
-//! With `--perf-json PATH` the binary instead reads a `BENCH_sweep.json`
-//! artifact (written by any sweep binary via `--bench-json PATH`) and
-//! prints its per-point throughput / wall-time table — no simulation runs.
-//!
-//! With `--trace-json PATH` the binary reads a `--trace-out` JSONL event
-//! dump, validates every line (and the `PATH.chrome.json` sibling when
-//! present), and prints the per-epoch tables — swap rate, LLP accuracy
-//! and stacked service rate over simulated time.
+//! With `--trace-json PATH` the binary instead reads a `--trace-out`
+//! JSONL event dump, validates every line (and the `PATH.chrome.json`
+//! sibling when present), and prints the per-epoch tables — swap rate,
+//! LLP accuracy and stacked service rate over simulated time — without
+//! simulating.
 
 use cameo::llp::PredictionCase;
 use cameo_bench::{print_header, Cli};
@@ -42,23 +39,12 @@ fn latency_histogram(stats: &RunStats) -> String {
     out
 }
 
-/// Strips `--perf-json PATH` / `--trace-json PATH` from the argument
-/// list; in those modes the artifact is tabulated and the process exits
-/// without simulating.
+/// Strips `--trace-json PATH` from the argument list; in that mode the
+/// artifact is tabulated and the process exits without simulating.
 fn artifact_modes(args: Vec<String>) -> Vec<String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        if arg == "--perf-json" {
-            let path = it
-                .next()
-                .unwrap_or_else(|| panic!("--perf-json needs a value"));
-            let doc = cameo_bench::perf::read_sweep_json(std::path::Path::new(&path))
-                .unwrap_or_else(|e| panic!("{e}"));
-            println!("Host throughput — {path}\n");
-            print!("{}", cameo_bench::perf::perf_table(&doc));
-            std::process::exit(0);
-        }
         if arg == "--trace-json" {
             let path = it
                 .next()

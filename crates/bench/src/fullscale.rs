@@ -11,9 +11,10 @@
 //! The point set per rung is the fig13 micro-slice: the headline
 //! organizations over a calibrated short instruction slice. The slice is
 //! deliberately small — the experiment measures *capacity* behaviour
-//! (bytes of host memory per tracked line, via the RSS gauges in
-//! `cameo-bench-sweep/1`), not throughput, so the instruction budget stays
-//! fixed while the memory system underneath grows 128-fold.
+//! (bytes of host memory per tracked line, via the procfs RSS gauges
+//! [`peak_rss_bytes`] and [`current_rss_bytes`]), not throughput, so the
+//! instruction budget stays fixed while the memory system underneath
+//! grows 128-fold.
 
 use std::path::{Path, PathBuf};
 
@@ -88,6 +89,72 @@ pub fn calibrate(mut cli: Cli) -> Cli {
             .expect("the calibration benchmark mcf is part of the Table II suite")];
     }
     cli
+}
+
+/// Peak resident-set size of this process in bytes, from the kernel's
+/// high-water mark (`VmHWM` in `/proc/self/status`).
+///
+/// The kernel tracks the true peak continuously, so a single read after a
+/// rung covers the whole run so far — no sampling cadence to miss a
+/// transient spike. `None` where procfs is absent (non-Linux).
+pub fn peak_rss_bytes() -> Option<u64> {
+    status_field_kb("VmHWM:")
+}
+
+/// Current resident-set size of this process in bytes, from
+/// `/proc/self/statm` (resident pages × page size).
+///
+/// This is the cheap per-sample gauge — one small procfs read — that the
+/// memory-flatness checks sample at epoch boundaries. `None` where
+/// procfs is absent (non-Linux).
+pub fn current_rss_bytes() -> Option<u64> {
+    let pages = statm_resident_pages()?;
+    Some(pages * page_size_bytes())
+}
+
+fn statm_resident_pages() -> Option<u64> {
+    let text = std::fs::read_to_string("/proc/self/statm").ok()?;
+    text.split_whitespace().nth(1)?.parse().ok()
+}
+
+fn status_field_kb(field: &str) -> Option<u64> {
+    let text = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = text.lines().find(|l| l.starts_with(field))?;
+    let kb: u64 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|v| v.parse().ok())?;
+    Some(kb * 1024)
+}
+
+/// The system page size, inferred once by ratioing `VmRSS` (exact kB)
+/// against the `statm` resident page count — procfs exposes no direct
+/// page-size field and the build pulls in no libc crate for `sysconf`.
+/// Rounded to the nearest power of two (the two reads race against
+/// allocation, so the raw ratio jitters); falls back to 4 KiB.
+fn page_size_bytes() -> u64 {
+    static PAGE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *PAGE.get_or_init(|| {
+        let inferred = || {
+            let pages = statm_resident_pages()?;
+            let rss = status_field_kb("VmRSS:")?;
+            if pages == 0 {
+                return None;
+            }
+            let ratio = rss / pages;
+            if ratio == 0 {
+                return None;
+            }
+            let floor = 1u64 << (63 - ratio.leading_zeros());
+            let ceil = floor << 1;
+            Some(if ratio - floor < ceil - ratio {
+                floor
+            } else {
+                ceil
+            })
+        };
+        inferred().unwrap_or(4096)
+    })
 }
 
 /// A sweep-point key reduced to a filesystem-safe stem (alphanumerics
@@ -165,6 +232,24 @@ mod tests {
         assert_eq!(c.config.instructions_per_core, 1_000_000);
         let names: Vec<&str> = c.benches.iter().map(|b| b.name).collect();
         assert_eq!(names, vec!["milc"]);
+    }
+
+    /// On Linux the procfs probes yield sane, ordered values (elsewhere
+    /// both gauges are absent).
+    #[test]
+    fn rss_gauges_are_sane() {
+        if !cfg!(target_os = "linux") {
+            assert_eq!(peak_rss_bytes(), None);
+            return;
+        }
+        let peak = peak_rss_bytes().expect("procfs present on Linux");
+        let current = current_rss_bytes().expect("procfs present on Linux");
+        // A test process is at least a megabyte and the high-water
+        // mark can never undercut the current residency (beyond the
+        // jitter of two non-atomic procfs reads).
+        assert!(peak > 1 << 20, "peak {peak} bytes is implausibly small");
+        assert!(current > 1 << 20);
+        assert!(peak * 2 >= current, "peak {peak} < current {current}");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! --jobs N           parallel sweep workers (default: all host cores; 0 = auto)
 //! --chunk N          step each point's event loop N accesses at a time
 //!                    (default: off, one step per point)
-//! --bench-json PATH  write the machine-readable BENCH_sweep.json perf artifact
 //! --trace-out PATH   arm event tracing; write PATH (JSONL) + PATH.chrome.json
 //! --quick            small smoke-test configuration
 //! --csv              emit CSV instead of an aligned table
@@ -39,7 +38,6 @@ use cameo_workloads::{suite, BenchSpec, Category};
 
 pub mod designs;
 pub mod fullscale;
-pub mod perf;
 pub mod trace_export;
 
 /// Parsed command line shared by all figure binaries.
@@ -57,8 +55,6 @@ pub struct Cli {
     /// Chunked execution: simulated accesses per event-loop step
     /// (`--chunk`); `None` drives each point to completion in one go.
     pub chunk: Option<u64>,
-    /// Where to write the `BENCH_sweep.json` perf artifact, if anywhere.
-    pub bench_json: Option<PathBuf>,
     /// Where to write the JSONL event dump (`--trace-out`); the
     /// Chrome-trace sibling lands next to it. `None` keeps the sweep on
     /// the no-op sink — tracing compiled to nothing.
@@ -86,7 +82,6 @@ impl Cli {
         let mut names: Vec<String> = Vec::new();
         let mut jobs = 0usize; // 0 = auto (available parallelism)
         let mut chunk = None;
-        let mut bench_json = None;
         let mut trace_out = None;
         let mut it = args.into_iter();
         let need = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
@@ -107,9 +102,6 @@ impl Cli {
                 "--bench" => names.push(need(&mut it, "--bench")),
                 "--jobs" => jobs = need(&mut it, "--jobs").parse().expect("--jobs"),
                 "--chunk" => chunk = Some(need(&mut it, "--chunk").parse().expect("--chunk")),
-                "--bench-json" => {
-                    bench_json = Some(PathBuf::from(need(&mut it, "--bench-json")));
-                }
                 "--trace-out" => {
                     trace_out = Some(PathBuf::from(need(&mut it, "--trace-out")));
                 }
@@ -122,8 +114,8 @@ impl Cli {
                 "--help" | "-h" => {
                     println!(
                         "flags: --scale N --cores N --instructions N --seed N --mlp N \
-                         --bench NAME (repeatable) --jobs N --chunk N --bench-json PATH \
-                         --trace-out PATH --quick --csv"
+                         --bench NAME (repeatable) --jobs N --chunk N --trace-out PATH \
+                         --quick --csv"
                     );
                     std::process::exit(0);
                 }
@@ -150,28 +142,7 @@ impl Cli {
             benches,
             jobs,
             chunk,
-            bench_json,
             trace_out,
-        }
-    }
-
-    /// Writes the `BENCH_sweep.json` perf artifact for a finished sweep
-    /// if `--bench-json` was given, and echoes the throughput gauges to
-    /// stderr either way.
-    pub fn emit_perf(&self, sweep_name: &str, report: &SweepReport) {
-        eprintln!(
-            "[perf] {sweep_name}: {:.2}s wall, {} points ({} resumed), \
-             {:.0} accesses/s, {:.0} cycles/s",
-            report.wall_seconds(),
-            report.outcomes.len(),
-            report.resumed(),
-            report.accesses_per_sec().unwrap_or(0.0),
-            report.cycles_per_sec().unwrap_or(0.0),
-        );
-        if let Some(path) = &self.bench_json {
-            perf::write_sweep_json(path, sweep_name, self.jobs, &self.config, report)
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-            eprintln!("[perf] wrote {}", path.display());
         }
     }
 
@@ -209,8 +180,8 @@ pub struct SpeedupGrid {
     pub runs: BTreeMap<String, Vec<RunStats>>,
     /// Benchmark order.
     pub order: Vec<BenchSpec>,
-    /// The underlying sweep report, carrying per-point and per-sweep
-    /// wall-clock and throughput gauges (see [`Cli::emit_perf`]).
+    /// The underlying sweep report, carrying the per-point trace
+    /// recordings [`Cli::emit_trace`] writes out.
     pub report: SweepReport,
 }
 
@@ -429,13 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn jobs_and_bench_json_parse() {
-        let cli = args("--jobs 3 --bench-json /tmp/b.json");
-        assert_eq!(cli.jobs, 3);
-        assert_eq!(
-            cli.bench_json.as_deref(),
-            Some(std::path::Path::new("/tmp/b.json"))
-        );
+    fn jobs_parse() {
+        assert_eq!(args("--jobs 3").jobs, 3);
         // `--jobs 0` (and the default) resolve to the host parallelism,
         // which is always at least one worker.
         assert!(args("--jobs 0").jobs >= 1);

@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cameo_bench::perf;
+use cameo_bench::fullscale;
 use cameo_sim::experiments::OrgKind;
 use cameo_sim::harness::{run_sweep_traced_spilling, SweepOptions, SweepPoint};
 use cameo_sim::trace::{EpochSpillFn, TraceOptions};
@@ -41,7 +41,7 @@ fn rss_stays_flat_while_epochs_stream_out() {
     let factory = move |_point: &SweepPoint| -> Option<EpochSpillFn> {
         let sink = Arc::clone(&sink);
         Some(Box::new(move |index, _counters| {
-            if let Some(rss) = perf::current_rss_bytes() {
+            if let Some(rss) = fullscale::current_rss_bytes() {
                 sink.lock()
                     .expect("no spill sampler panicked while holding the lock")
                     .push((index, rss));

@@ -130,11 +130,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error,
+    /// including arrays and objects nested more than 64 levels deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -164,9 +166,16 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep [`Json::parse`] lets arrays and objects nest. A checkpoint
+/// record nests three levels; the cap turns a corrupt line of brackets
+/// into a parse error instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,8 +221,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at offset {}", self.pos)),
         }
@@ -533,7 +556,8 @@ pub fn parse_line(line: &str) -> Result<CheckpointLine, String> {
     let obj = Json::parse(line)?;
     let key = field_str(&obj, "key")?;
     let status = field_str(&obj, "status")?;
-    let attempts = field_u64(&obj, "attempts")? as u32;
+    let attempts = u32::try_from(field_u64(&obj, "attempts")?)
+        .map_err(|_| "field \"attempts\" does not fit in u32".to_string())?;
     let record = match status.as_str() {
         "done" => PointRecord::Done {
             attempts,
@@ -941,6 +965,58 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    /// A line of a million `[` once overflowed the parser's stack and
+    /// aborted the process; past the nesting cap it is a parse error, so
+    /// ahead of a valid record it is mid-file corruption.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&past_cap).is_err());
+
+        let path =
+            std::env::temp_dir().join(format!("cameo_ckpt_deep_{}.jsonl", std::process::id()));
+        let good = render_record(
+            "a::x",
+            &PointRecord::Failed {
+                attempts: 1,
+                error: "e".into(),
+            },
+        );
+        std::fs::write(&path, format!("{}\n{good}\n", "[".repeat(1_000_000))).expect("tmp write");
+        let loaded = load(&path);
+        std::fs::remove_file(&path).expect("tmp cleanup");
+        assert!(matches!(loaded, Err(SimError::Checkpoint(_))), "{loaded:?}");
+    }
+
+    /// An `attempts` count past `u32::MAX` is rejected, not wrapped
+    /// (4294967297 once loaded as 1).
+    #[test]
+    fn oversized_attempts_are_rejected_not_wrapped() {
+        let line = render_record(
+            "a::x",
+            &PointRecord::Failed {
+                attempts: 1,
+                error: "e".into(),
+            },
+        );
+        assert!(line.contains("\"attempts\":1,"), "{line}");
+        let huge = line.replace("\"attempts\":1,", "\"attempts\":4294967297,");
+        assert!(parse_record(&huge).is_err());
+        let max = line.replace("\"attempts\":1,", "\"attempts\":4294967295,");
+        assert!(matches!(
+            parse_record(&max),
+            Ok((
+                _,
+                PointRecord::Failed {
+                    attempts: u32::MAX,
+                    ..
+                }
+            ))
+        ));
     }
 
     #[test]

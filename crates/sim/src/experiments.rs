@@ -3,7 +3,7 @@
 
 use cameo::{LltDesign, PredictorKind};
 use cameo_memsim::DramConfig;
-use cameo_types::{ByteSize, DetHashMap, DeviceKind, NopSink, PageAddr};
+use cameo_types::{ByteSize, DetHashMap, DeviceKind, NopSink, PageAddr, TraceSink};
 use cameo_vmem::tlm::{DynamicMigrator, FreqMigrator, OracleProfile};
 use cameo_workloads::{BenchSpec, TraceGenerator};
 
@@ -198,71 +198,7 @@ pub fn build_org_on(
     device: DeviceKind,
     config: &SystemConfig,
 ) -> Box<dyn MemoryOrganization> {
-    let stacked = config.stacked();
-    let off_chip = config.off_chip();
-    let (stacked_dev, off_chip_dev) = device_configs(device, stacked, off_chip);
-    let seed = config.seed ^ 0xBEEF;
-    match kind {
-        OrgKind::Baseline => Box::new(BaselineOrg::new(off_chip, seed)),
-        OrgKind::AlloyCache => Box::new(AlloyCacheOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            config.cores,
-            seed,
-            NopSink,
-        )),
-        OrgKind::LhCache => Box::new(LohHillCacheOrg::new(stacked, off_chip, seed)),
-        OrgKind::TlmStatic => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Static,
-            seed,
-            NopSink,
-        )),
-        OrgKind::TlmDynamic => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Dynamic(DynamicMigrator::new()),
-            seed,
-            NopSink,
-        )),
-        OrgKind::TlmFreq => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Freq(FreqMigrator::new(config.freq_epoch)),
-            seed,
-            NopSink,
-        )),
-        OrgKind::TlmOracle => {
-            let profile = OracleProfile::from_counts(page_profile(bench, config), stacked.pages());
-            Box::new(TlmOrg::with_sink_on(
-                stacked_dev,
-                off_chip_dev,
-                TlmPolicy::Oracle(profile),
-                seed,
-                NopSink,
-            ))
-        }
-        OrgKind::Cameo { llt, predictor } => Box::new(CameoOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            llt,
-            predictor,
-            config.cores,
-            config.llp_entries,
-            seed,
-            NopSink,
-        )),
-        OrgKind::MemCache { split_percent } => Box::new(MemCacheOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            split_percent,
-            config.cores,
-            seed,
-            NopSink,
-        )),
-        OrgKind::DoubleUse => Box::new(DoubleUseOrg::new(stacked, off_chip, config.cores, seed)),
-    }
+    build_with_sink(bench, kind, device, config, NopSink)
 }
 
 /// Builds a fresh organization of `kind` with the armed `sink` receiving
@@ -271,8 +207,8 @@ pub fn build_org_on(
 /// The kinds the tracing subsystem instruments — CAMEO (controller events),
 /// Alloy (hit-predictor and service events) and the TLM policies (migration
 /// and service events) — are constructed around `sink`; the remaining kinds
-/// (Baseline, LH cache, DoubleUse) have no emission sites and fall back to
-/// [`build_org`], so their armed runs record an empty trace.
+/// (Baseline, LH cache, DoubleUse) have no emission sites and build exactly
+/// as [`build_org`] does, so their armed runs record an empty trace.
 pub fn build_org_traced(
     bench: &BenchSpec,
     kind: OrgKind,
@@ -292,14 +228,26 @@ pub fn build_org_traced_on(
     config: &SystemConfig,
     sink: SharedSink,
 ) -> Box<dyn MemoryOrganization> {
+    build_with_sink(bench, kind, device, config, sink)
+}
+
+/// The one organization constructor behind the public builders: `sink`
+/// is [`NopSink`] for untraced runs (emission compiles away) or an armed
+/// [`SharedSink`]. Baseline, LH cache and DoubleUse have no emission
+/// sites and drop it.
+fn build_with_sink<S: TraceSink + 'static>(
+    bench: &BenchSpec,
+    kind: OrgKind,
+    device: DeviceKind,
+    config: &SystemConfig,
+    sink: S,
+) -> Box<dyn MemoryOrganization> {
     let stacked = config.stacked();
     let off_chip = config.off_chip();
     let (stacked_dev, off_chip_dev) = device_configs(device, stacked, off_chip);
     let seed = config.seed ^ 0xBEEF;
     match kind {
-        OrgKind::Baseline | OrgKind::LhCache | OrgKind::DoubleUse => {
-            build_org_on(bench, kind, device, config)
-        }
+        OrgKind::Baseline => Box::new(BaselineOrg::new(off_chip, seed)),
         OrgKind::AlloyCache => Box::new(AlloyCacheOrg::with_sink_on(
             stacked_dev,
             off_chip_dev,
@@ -307,6 +255,7 @@ pub fn build_org_traced_on(
             seed,
             sink,
         )),
+        OrgKind::LhCache => Box::new(LohHillCacheOrg::new(stacked, off_chip, seed)),
         OrgKind::TlmStatic => Box::new(TlmOrg::with_sink_on(
             stacked_dev,
             off_chip_dev,
@@ -356,6 +305,7 @@ pub fn build_org_traced_on(
             seed,
             sink,
         )),
+        OrgKind::DoubleUse => Box::new(DoubleUseOrg::new(stacked, off_chip, config.cores, seed)),
     }
 }
 

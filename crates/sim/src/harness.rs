@@ -24,10 +24,9 @@
 //! on-disk record *order* is completion order, which [`checkpoint::load`]
 //! never depends on).
 //!
-//! Host-side wall-clock per point and per sweep is recorded alongside —
-//! see [`PointOutcome::wall_nanos`] and the [`SweepReport`] throughput
-//! gauges — but deliberately excluded from report equality, which covers
-//! simulated results only.
+//! Host-side wall-clock per point is recorded alongside — see
+//! [`PointOutcome::wall_nanos`] — but deliberately excluded from report
+//! equality, which covers simulated results only.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -88,9 +87,6 @@ pub struct SweepOptions {
     /// Abort a point whose issue clock passes this many cycles (see
     /// [`Runner::try_run`]). `None` disables the watchdog.
     pub watchdog_cycles: Option<u64>,
-    /// Suppress the default panic-hook backtrace spam while points run
-    /// crash-isolated (the panic is still captured and recorded).
-    pub quiet_panics: bool,
     /// Worker threads running points concurrently. `0` and `1` both mean
     /// serial (the library default — CLIs typically pass the host's
     /// available parallelism). Results are bit-identical at any job
@@ -112,7 +108,6 @@ impl Default for SweepOptions {
             config: SystemConfig::default(),
             max_attempts: 1,
             watchdog_cycles: None,
-            quiet_panics: true,
             jobs: 1,
             chunk_accesses: None,
         }
@@ -152,20 +147,12 @@ impl PartialEq for PointOutcome {
 
 /// Everything a finished sweep produced.
 ///
-/// Equality ignores the host-side timing fields (see [`PointOutcome`]).
-#[derive(Clone, Debug, Default)]
+/// Equality compares the outcomes, which ignore their host-side fields
+/// (see [`PointOutcome`]).
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SweepReport {
     /// Per-point outcomes, in input order.
     pub outcomes: Vec<PointOutcome>,
-    /// Host wall-clock of the whole sweep in nanoseconds, resume lookup
-    /// and checkpoint I/O included (`0` for hand-assembled reports).
-    pub wall_nanos: u64,
-}
-
-impl PartialEq for SweepReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.outcomes == other.outcomes
-    }
 }
 
 impl SweepReport {
@@ -201,45 +188,6 @@ impl SweepReport {
     /// Number of points answered from the checkpoint without re-running.
     pub fn resumed(&self) -> usize {
         self.outcomes.iter().filter(|o| o.resumed).count()
-    }
-
-    /// Total simulated demand accesses across completed points (resumed
-    /// ones included — they carry full statistics).
-    pub fn sim_accesses(&self) -> u64 {
-        self.completed_stats().map(RunStats::accesses).sum()
-    }
-
-    /// Total simulated cycles across completed points.
-    pub fn sim_cycles(&self) -> u64 {
-        self.completed_stats().map(|s| s.execution_cycles).sum()
-    }
-
-    /// Host throughput gauge: simulated accesses per wall-clock second of
-    /// the sweep. `None` when no wall-clock was recorded.
-    pub fn accesses_per_sec(&self) -> Option<f64> {
-        self.per_sec(self.sim_accesses())
-    }
-
-    /// Host throughput gauge: simulated cycles per wall-clock second of
-    /// the sweep. `None` when no wall-clock was recorded.
-    pub fn cycles_per_sec(&self) -> Option<f64> {
-        self.per_sec(self.sim_cycles())
-    }
-
-    /// The sweep wall-clock in seconds.
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_nanos as f64 / 1e9
-    }
-
-    fn per_sec(&self, quantity: u64) -> Option<f64> {
-        (self.wall_nanos > 0).then(|| quantity as f64 / self.wall_seconds())
-    }
-
-    fn completed_stats(&self) -> impl Iterator<Item = &RunStats> {
-        self.outcomes.iter().filter_map(|o| match &o.record {
-            PointRecord::Done { stats, .. } => Some(stats.as_ref()),
-            PointRecord::Failed { .. } => None,
-        })
     }
 }
 
@@ -401,7 +349,6 @@ fn run_sweep_inner(
     checkpoint_path: Option<&Path>,
     build: &TracedOrgBuilder<'_>,
 ) -> Result<SweepReport, SimError> {
-    let sweep_start = Instant::now();
     // The sweep appends to the checkpoint it resumes from, so a torn
     // trailing record (killed mid-append) must be truncated away first —
     // plain `load` would leave the unterminated tail for the first fresh
@@ -414,7 +361,7 @@ fn run_sweep_inner(
         Some(path) => Some(checkpoint::Writer::open(path)?),
         None => None,
     };
-    let _quiet = opts.quiet_panics.then(QuietPanics::install);
+    let _quiet = QuietPanics::install();
 
     // Canonical-order slots: resumed points are answered immediately;
     // the rest are indexed into the work queue.
@@ -487,10 +434,7 @@ fn run_sweep_inner(
         .into_iter()
         .map(|slot| slot.expect("every slot is either resumed or filled by its worker"))
         .collect();
-    Ok(SweepReport {
-        outcomes,
-        wall_nanos: u64::try_from(sweep_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    })
+    Ok(SweepReport { outcomes })
 }
 
 /// Locks a mutex, continuing through poisoning: sweep state behind these
@@ -1022,19 +966,12 @@ mod tests {
         ));
     }
 
-    /// Host-side gauges: fresh points carry a wall-clock, the sweep
-    /// total is recorded, and the throughput rates derive from them.
+    /// Fresh points carry the host wall-clock spent producing them.
     #[test]
-    fn wall_clock_and_throughput_are_recorded() {
+    fn per_point_wall_clock_is_recorded() {
         let points = [SweepPoint::new("astar", OrgKind::Baseline)];
         let report = run_sweep(&points, &quick_opts(), None).expect("no checkpoint I/O involved");
-        assert!(report.wall_nanos > 0);
         assert!(report.outcomes[0].wall_nanos > 0);
-        assert!(report.sim_accesses() > 0);
-        assert!(report.sim_cycles() > 0);
-        let aps = report.accesses_per_sec().expect("wall-clock was recorded");
-        assert!(aps > 0.0);
-        assert!(report.cycles_per_sec().expect("wall-clock was recorded") > aps);
     }
 
     /// Arming the recording sink must not perturb simulated results: a

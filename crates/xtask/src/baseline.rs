@@ -173,8 +173,12 @@ impl Baseline {
     }
 
     /// Rebuilds the baseline from the current findings, carrying over
-    /// reasons from matching old entries (exact key first, then the
-    /// first unclaimed same-(path, rule) entry — line drift).
+    /// reasons from matching old entries: the exact key first, then the
+    /// first unclaimed same-(path, rule) entry — line drift. The drift
+    /// fallback applies only while the (path, rule) pair has as many
+    /// findings as entries: once one of them is gone, a moved finding
+    /// cannot be told from the removed one, so it gets the TODO reason
+    /// rather than a possibly wrong one.
     pub fn regenerate(&self, diags: &[Diagnostic]) -> Baseline {
         let mut claimed = vec![false; self.entries.len()];
         let mut entries: Vec<BaselineEntry> = diags
@@ -186,10 +190,18 @@ impl Baseline {
                         == (path.as_str(), diag.line, diag.rule)
                 });
                 let pick = exact.or_else(|| {
+                    let same = |e: &BaselineEntry| e.path == path && e.rule == diag.rule;
+                    let findings = diags
+                        .iter()
+                        .filter(|d| d.rule == diag.rule && diag_path(d) == path)
+                        .count();
+                    if self.entries.iter().filter(|e| same(e)).count() != findings {
+                        return None;
+                    }
                     self.entries
                         .iter()
                         .enumerate()
-                        .position(|(i, e)| !claimed[i] && e.path == path && e.rule == diag.rule)
+                        .position(|(i, e)| !claimed[i] && same(e))
                 });
                 let reason = match pick {
                     Some(i) => {
@@ -371,6 +383,30 @@ mod tests {
         assert_eq!(new.entries[0].reason, "sweep timer");
         let fresh = old.regenerate(&[diag("c.rs", 1, "det-hash")]);
         assert!(fresh.entries[0].reason.starts_with("TODO"));
+    }
+
+    /// Two entries share a (path, rule); the first finding goes away and
+    /// the second moves. The survivor must not inherit the deleted
+    /// entry's reason: with the count changed, it gets the TODO reason.
+    #[test]
+    fn regenerate_does_not_hand_a_removed_entrys_reason_to_a_survivor() {
+        let old = Baseline {
+            entries: vec![
+                entry("a.rs", 10, "wall-clock", "sweep timer"),
+                entry("a.rs", 40, "wall-clock", "point timer"),
+            ],
+        };
+        let new = old.regenerate(&[diag("a.rs", 35, "wall-clock")]);
+        assert_eq!(new.entries.len(), 1);
+        assert_eq!(new.entries[0].line, 35);
+        assert!(
+            new.entries[0].reason.starts_with("TODO"),
+            "{}",
+            new.entries[0].reason
+        );
+        // An unmoved survivor still keeps its own reason by exact key.
+        let kept = old.regenerate(&[diag("a.rs", 40, "wall-clock")]);
+        assert_eq!(kept.entries[0].reason, "point timer");
     }
 
     #[test]

@@ -5,10 +5,8 @@
 //! checked-in baseline file are read and written with this small
 //! hand-rolled layer instead of serde. It supports exactly the JSON
 //! subset those documents use — objects, arrays, strings with the
-//! standard escapes, unsigned integers, booleans and null — plus the
-//! finite floats the `cameo-bench-sweep/1` performance artifacts carry
-//! (read by `cargo xtask bench-diff`), and rejects everything else
-//! loudly rather than guessing.
+//! standard escapes, unsigned integers, booleans and null — and rejects
+//! everything else loudly rather than guessing.
 
 use std::fmt::Write as _;
 
@@ -21,9 +19,6 @@ pub enum Value {
     Bool(bool),
     /// A number. Only unsigned integers occur in lint documents.
     Num(u64),
-    /// A non-integer number. Lint documents never contain these; they
-    /// appear only in the benchmark artifacts `bench-diff` reads.
-    Float(f64),
     /// A string (unescaped).
     Str(String),
     /// An array.
@@ -53,15 +48,6 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a float — integers widen losslessly.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n as f64),
-            Value::Float(v) => Some(*v),
             _ => None,
         }
     }
@@ -103,7 +89,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(bytes, pos),
+        Some(c) if c.is_ascii_digit() => parse_num(bytes, pos),
         Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, *pos)),
     }
 }
@@ -119,30 +105,12 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<V
 
 fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
         *pos += 1;
     }
-    let mut float = false;
-    while let Some(c) = bytes.get(*pos) {
-        match c {
-            _ if c.is_ascii_digit() => {}
-            b'.' | b'e' | b'E' | b'-' | b'+' => float = true,
-            _ => break,
-        }
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("bad number at byte {start}"))?;
-    if float || text.starts_with('-') {
-        return text
-            .parse::<f64>()
-            .ok()
-            .filter(|v| v.is_finite())
-            .map(Value::Float)
-            .ok_or_else(|| format!("bad number at byte {start}"));
-    }
-    text.parse()
+    std::str::from_utf8(&bytes[start..*pos])
         .ok()
+        .and_then(|text| text.parse().ok())
         .map(Value::Num)
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
@@ -298,25 +266,6 @@ mod tests {
         let findings = v.get("findings").and_then(Value::as_arr).expect("array");
         assert_eq!(findings[0].get("line").and_then(Value::as_u64), Some(3));
         assert_eq!(findings[0].get("ok"), Some(&Value::Bool(true)));
-    }
-
-    #[test]
-    fn parses_the_floats_bench_artifacts_carry() {
-        let v = parse(r#"{"accesses_per_sec":1013525.670191503,"cps":3.2e9,"delta":-0.5}"#)
-            .expect("valid document");
-        let aps = v
-            .get("accesses_per_sec")
-            .and_then(Value::as_f64)
-            .expect("float");
-        assert!((aps - 1_013_525.670_191_503).abs() < 1e-6);
-        assert!((v.get("cps").and_then(Value::as_f64).expect("exp float") - 3.2e9).abs() < 1.0);
-        assert!(v.get("delta").and_then(Value::as_f64).expect("negative") < 0.0);
-        // Integers widen through as_f64 but stay exact through as_u64.
-        let n = parse("{\"n\":7}").expect("int");
-        assert_eq!(n.get("n").and_then(Value::as_u64), Some(7));
-        assert_eq!(n.get("n").and_then(Value::as_f64), Some(7.0));
-        // Non-finite numbers are rejected, not smuggled in.
-        assert!(parse("{\"bad\":1e999}").is_err());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Workspace automation tasks, following the cargo-xtask convention.
 //!
-//! Two tasks: `lint`, a zero-dependency semantic workspace analyzer
+//! One task: `lint`, a zero-dependency semantic workspace analyzer
 //! enforcing repository invariants that rustc and clippy do not know
-//! about, and `bench-diff` ([`benchdiff`]), the throughput-regression
-//! gate over `cameo-bench-sweep/1` artifacts. The per-line rules ([`rules`]) cover panic-freedom of
+//! about. The per-line rules ([`rules`]) cover panic-freedom of
 //! hot-path crates, the typed-address discipline of `cameo-types`, doc
 //! coverage, thread-creation and trace-printing discipline; the semantic
 //! passes ([`passes`]) read a shared cross-file model ([`model`]) to
@@ -26,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod benchdiff;
 pub mod engine;
 pub mod json;
 pub mod model;

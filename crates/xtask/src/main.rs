@@ -17,7 +17,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("bench-diff") => bench_diff(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -42,9 +41,6 @@ Tasks:
                       layering passes. Findings are gated against the
                       checked-in lint-baseline.json: anything fresh fails,
                       and so does a stale baseline entry.
-  bench-diff [opts]   Compare a fresh cameo-bench-sweep/1 artifact against
-                      the checked-in reference and fail on a throughput
-                      regression past the threshold.
   help                Show this message.
 
 Lint options:
@@ -57,20 +53,6 @@ Lint options:
   --baseline PATH     Baseline file (default: <root>/lint-baseline.json).
   --update-baseline   Rewrite the baseline to accept the current findings,
                       preserving reasons of surviving entries.
-
-Bench-diff options:
-  --current PATH      Fresh artifact (default: BENCH_sweep.json).
-  --reference PATH    Checked-in reference (default:
-                      <root>/results/BENCH_sweep.json).
-  --threshold PCT     Allowed slowdown in percent before failing
-                      (default: 15).
-  --imbalance-factor F  Allowed growth of the max/min point wall-time
-                      ratio relative to the reference before failing;
-                      artifacts without a ratio skip the gate
-                      (default: 2).
-  --max-rss-factor F  Allowed growth of peak RSS relative to the
-                      reference before failing; artifacts without the
-                      gauge skip the gate (default: 1.5).
 
 Suppress a finding in place with `// lint: allow(<rule>)` (or
 `# lint: allow(<rule>)` in Cargo.toml) on the same line or alone on the
@@ -245,82 +227,6 @@ fn lint(flags: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// Compares a fresh benchmark artifact against the checked-in reference,
-/// failing on a throughput regression past the threshold.
-fn bench_diff(flags: &[String]) -> ExitCode {
-    let mut current = PathBuf::from("BENCH_sweep.json");
-    let mut reference: Option<PathBuf> = None;
-    let mut threshold = xtask::benchdiff::DEFAULT_THRESHOLD_PCT;
-    let mut imbalance_factor = xtask::benchdiff::DEFAULT_IMBALANCE_FACTOR;
-    let mut max_rss_factor = xtask::benchdiff::DEFAULT_MAX_RSS_FACTOR;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        let mut need = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{name}` needs a value"))
-        };
-        let result = match flag.as_str() {
-            "--current" => need("--current").map(|v| current = PathBuf::from(v)),
-            "--reference" => need("--reference").map(|v| reference = Some(PathBuf::from(v))),
-            "--threshold" => need("--threshold").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("`--threshold {v}` is not a number"))
-                    .map(|v| threshold = v)
-            }),
-            "--imbalance-factor" => need("--imbalance-factor").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("`--imbalance-factor {v}` is not a number"))
-                    .map(|v| imbalance_factor = v)
-            }),
-            "--max-rss-factor" => need("--max-rss-factor").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("`--max-rss-factor {v}` is not a number"))
-                    .map(|v| max_rss_factor = v)
-            }),
-            other => Err(format!("unknown flag `{other}` for `bench-diff`")),
-        };
-        if let Err(msg) = result {
-            eprintln!("error: {msg}");
-            return ExitCode::from(USAGE_ERROR);
-        }
-    }
-    let reference = match reference {
-        Some(path) => path,
-        None => match workspace_root() {
-            Some(root) => root.join("results/BENCH_sweep.json"),
-            None => {
-                eprintln!("error: cannot locate the workspace root (no Cargo.toml found)");
-                return ExitCode::from(USAGE_ERROR);
-            }
-        },
-    };
-    match xtask::benchdiff::diff_files(
-        &current,
-        &reference,
-        threshold,
-        imbalance_factor,
-        max_rss_factor,
-    ) {
-        Ok(verdict) => {
-            println!("{}", verdict.summary);
-            if verdict.regressed {
-                eprintln!(
-                    "error: regressed past the gate (throughput threshold {threshold}%, \
-                     imbalance factor {imbalance_factor}x, rss factor {max_rss_factor}x)"
-                );
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(USAGE_ERROR)
-        }
     }
 }
 
