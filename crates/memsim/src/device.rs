@@ -42,6 +42,10 @@ struct Bank {
 /// parallelism and data-bus saturation — without a full command-level DDR
 /// scheduler.
 ///
+/// Channels, banks per channel, lines per row and bytes per beat must be
+/// powers of two (every Table I device is): the per-access mapping and
+/// burst sizing are shifts and masks, with no runtime divide.
+///
 /// # Examples
 ///
 /// ```
@@ -57,6 +61,7 @@ struct Bank {
 #[derive(Clone, Debug)]
 pub struct Dram {
     config: DramConfig,
+    geometry: Geometry,
     banks: Vec<Bank>,
     /// Earliest free cycle of each channel's data bus.
     bus_free: Vec<Cycle>,
@@ -70,12 +75,80 @@ pub struct Dram {
     stats: DramStats,
 }
 
+/// The power-of-two geometry of a [`DramConfig`] as shifts and masks, with
+/// the bus clock ratio that sizes a burst.
+#[derive(Clone, Copy, Debug)]
+struct Geometry {
+    /// log2(lines per row).
+    row_shift: u32,
+    /// log2(channels).
+    channel_shift: u32,
+    /// log2(banks per channel).
+    bank_shift: u32,
+    /// log2(bytes per beat).
+    beat_shift: u32,
+    /// CPU cycles per bus cycle.
+    cpu_per_bus: u64,
+}
+
+impl Geometry {
+    /// The shifts of `config`'s geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless channels, banks per channel, lines per row and bytes
+    /// per beat are all powers of two.
+    fn of(config: &DramConfig) -> Self {
+        let log2 = |what: &str, v: u32| {
+            assert!(
+                v.is_power_of_two(),
+                "DRAM geometry must be a power of two: {what} is {v}"
+            );
+            v.trailing_zeros()
+        };
+        Self {
+            row_shift: log2("lines per row", config.lines_per_row()),
+            channel_shift: log2("channels", config.channels),
+            bank_shift: log2("banks per channel", config.banks_per_channel),
+            beat_shift: log2("bytes per beat", config.bytes_per_beat),
+            cpu_per_bus: config.timings.cpu_per_bus,
+        }
+    }
+
+    /// `DramConfig::beats_for`: data-bus beats moving `bytes`.
+    #[inline]
+    fn beats(self, bytes: u32) -> u32 {
+        let mask = (1 << self.beat_shift) - 1;
+        (bytes >> self.beat_shift) + u32::from(bytes & mask != 0)
+    }
+
+    /// Bytes actually moved for a `bytes` transfer (whole beats).
+    #[inline]
+    fn moved(self, bytes: u32) -> u64 {
+        u64::from(self.beats(bytes)) << self.beat_shift
+    }
+
+    /// `DramConfig::burst_cpu_cycles`: CPU cycles the data bus is busy
+    /// moving `bytes` (two beats per bus cycle).
+    #[inline]
+    fn burst(self, bytes: u32) -> Cycle {
+        Cycle::new(u64::from(self.beats(bytes).div_ceil(2)) * self.cpu_per_bus)
+    }
+}
+
 impl Dram {
     /// Creates a device with all banks precharged and buses idle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the refresh parameters are invalid, or unless channels,
+    /// banks per channel, lines per row and bytes per beat are all powers
+    /// of two.
     pub fn new(config: DramConfig) -> Self {
         if let Some(refresh) = &config.refresh {
             refresh.validate();
         }
+        let geometry = Geometry::of(&config);
         let banks = vec![Bank::default(); config.total_banks() as usize];
         let bus_free = vec![Cycle::ZERO; config.channels as usize];
         let promoted_banks = if config.tl_dram.is_some() {
@@ -88,6 +161,7 @@ impl Dram {
             refresh_until: Cycle::ZERO,
             promoted_near: vec![Vec::new(); promoted_banks],
             config,
+            geometry,
             banks,
             bus_free,
             stats: DramStats::default(),
@@ -136,15 +210,14 @@ impl Dram {
     /// bank — matching the co-located LLT's row layout — and successive rows
     /// interleave across channels, then banks, preserving both row-buffer
     /// locality and bank-level parallelism.
+    #[inline]
     fn map(&self, line: u64) -> (usize, usize, u64) {
-        let channels = u64::from(self.config.channels);
-        let banks = u64::from(self.config.banks_per_channel);
-        let lines_per_row = u64::from(self.config.lines_per_row());
-        let row_seq = line / lines_per_row;
-        let channel = row_seq % channels;
-        let bank_in_channel = (row_seq / channels) % banks;
-        let row = row_seq / (channels * banks);
-        let bank = channel * banks + bank_in_channel;
+        let g = self.geometry;
+        let row_seq = line >> g.row_shift;
+        let channel = row_seq & ((1 << g.channel_shift) - 1);
+        let bank_in_channel = (row_seq >> g.channel_shift) & ((1 << g.bank_shift) - 1);
+        let row = row_seq >> (g.channel_shift + g.bank_shift);
+        let bank = (channel << g.bank_shift) | bank_in_channel;
         (channel as usize, bank as usize, row)
     }
 
@@ -245,7 +318,7 @@ impl Dram {
         let cas_done = start + Cycle::new(command_cycles);
 
         // Queue for the channel data bus.
-        let burst = Cycle::new(self.config.burst_cpu_cycles(bytes));
+        let burst = self.geometry.burst(bytes);
         let data_start = cas_done.later(self.bus_free[channel]);
         let data_done = data_start + burst;
         self.bus_free[channel] = data_done;
@@ -269,7 +342,7 @@ impl Dram {
             RowBufferOutcome::ClosedMiss => self.stats.row_closed += 1,
             RowBufferOutcome::Conflict => self.stats.row_conflicts += 1,
         }
-        let moved = u64::from(self.config.beats_for(bytes) * self.config.bytes_per_beat);
+        let moved = self.geometry.moved(bytes);
         if is_write {
             self.stats.writes += 1;
             self.stats.bytes_written += moved;
@@ -289,12 +362,12 @@ impl Dram {
     pub fn read_squashed(&mut self, now: Cycle, line: u64) -> Cycle {
         let bytes = cameo_types::LINE_BYTES as u32;
         let (channel, _bank, _row) = self.map(line);
-        let burst = Cycle::new(self.config.burst_cpu_cycles(bytes));
+        let burst = self.geometry.burst(bytes);
         let data_start = now.later(self.bus_free[channel]);
         let data_done = data_start + burst;
         self.bus_free[channel] = data_done;
         self.stats.bus_busy_cycles += burst.raw();
-        let moved = u64::from(self.config.beats_for(bytes) * self.config.bytes_per_beat);
+        let moved = self.geometry.moved(bytes);
         self.stats.demand_reads += 1;
         self.stats.bytes_read += moved;
         data_done
@@ -308,12 +381,12 @@ impl Dram {
     /// reads far beyond what a real write-queue-equipped controller shows.
     fn write_buffered(&mut self, now: Cycle, line: u64, bytes: u32) -> Cycle {
         let (channel, _bank_idx, _row) = self.map(line);
-        let burst = Cycle::new(self.config.burst_cpu_cycles(bytes));
+        let burst = self.geometry.burst(bytes);
         let data_start = now.later(self.bus_free[channel]);
         let data_done = data_start + burst;
         self.bus_free[channel] = data_done;
         self.stats.bus_busy_cycles += burst.raw();
-        let moved = u64::from(self.config.beats_for(bytes) * self.config.bytes_per_beat);
+        let moved = self.geometry.moved(bytes);
         self.stats.writes += 1;
         self.stats.bytes_written += moved;
         data_done
@@ -667,6 +740,58 @@ mod tests {
         let far = far_line(&d) * 8 + u64::from(d.config().lines_per_row());
         let t0 = Cycle::new(1000);
         assert_eq!(d.read_line(t0, far) - t0, Cycle::new(40));
+    }
+
+    /// The division formulas the shifts and masks replaced.
+    fn map_by_division(config: &DramConfig, line: u64) -> (usize, usize, u64) {
+        let channels = u64::from(config.channels);
+        let banks = u64::from(config.banks_per_channel);
+        let row_seq = line / u64::from(config.lines_per_row());
+        let channel = row_seq % channels;
+        let bank_in_channel = (row_seq / channels) % banks;
+        let row = row_seq / (channels * banks);
+        (
+            channel as usize,
+            (channel * banks + bank_in_channel) as usize,
+            row,
+        )
+    }
+
+    #[test]
+    fn shifts_match_division_formulas() {
+        let configs = [
+            DramConfig::stacked(ByteSize::from_mib(64)),
+            DramConfig::off_chip(ByteSize::from_mib(192)),
+            DramConfig::stacked_tiered(ByteSize::from_mib(64)),
+        ];
+        for config in configs {
+            let d = Dram::new(config);
+            for bytes in [1, 64, 66, 4096] {
+                assert_eq!(
+                    d.geometry.burst(bytes),
+                    Cycle::new(config.burst_cpu_cycles(bytes))
+                );
+                assert_eq!(
+                    d.geometry.moved(bytes),
+                    u64::from(config.beats_for(bytes) * config.bytes_per_beat)
+                );
+            }
+            let mut line = 0u64;
+            while line < 1 << 40 {
+                for l in [line, line + 1, line + 31, line + 32, line + 4095] {
+                    assert_eq!(d.map(l), map_by_division(&config, l), "line {l}");
+                }
+                line = line * 3 + 7;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two: channels is 12")]
+    fn non_power_of_two_geometry_rejected() {
+        let mut cfg = DramConfig::off_chip(ByteSize::from_mib(192));
+        cfg.channels = 12;
+        Dram::new(cfg);
     }
 
     #[test]

@@ -16,8 +16,8 @@ pub enum ConfigError {
     WarmupOutOfRange(f64),
     /// `mlp` was zero.
     ZeroMlp,
-    /// `ipc` was not positive (the carried value).
-    NonPositiveIpc(f64),
+    /// `ipc` was not a positive finite number (the carried value).
+    InvalidIpc(f64),
     /// `llp_entries` was not a power of two (the carried value).
     LlpEntriesNotPowerOfTwo(usize),
     /// `freq_epoch` was zero.
@@ -34,7 +34,7 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "warmup fraction {v} outside [0, 0.9]")
             }
             ConfigError::ZeroMlp => f.write_str("MLP must be positive"),
-            ConfigError::NonPositiveIpc(v) => write!(f, "IPC {v} must be positive"),
+            ConfigError::InvalidIpc(v) => write!(f, "IPC {v} must be positive and finite"),
             ConfigError::LlpEntriesNotPowerOfTwo(v) => {
                 write!(f, "LLP table size {v} must be a power of two")
             }
@@ -125,8 +125,9 @@ impl SystemConfig {
         if self.mlp == 0 {
             return Err(ConfigError::ZeroMlp);
         }
-        if self.ipc <= 0.0 {
-            return Err(ConfigError::NonPositiveIpc(self.ipc));
+        // Written so that NaN fails too: every comparison with NaN is false.
+        if !(self.ipc > 0.0 && self.ipc.is_finite()) {
+            return Err(ConfigError::InvalidIpc(self.ipc));
         }
         if !self.llp_entries.is_power_of_two() {
             return Err(ConfigError::LlpEntriesNotPowerOfTwo(self.llp_entries));
@@ -232,7 +233,21 @@ mod tests {
             (SystemConfig { mlp: 0, ..base }, ConfigError::ZeroMlp),
             (
                 SystemConfig { ipc: 0.0, ..base },
-                ConfigError::NonPositiveIpc(0.0),
+                ConfigError::InvalidIpc(0.0),
+            ),
+            (
+                SystemConfig {
+                    ipc: f64::NAN,
+                    ..base
+                },
+                ConfigError::InvalidIpc(f64::NAN),
+            ),
+            (
+                SystemConfig {
+                    ipc: f64::INFINITY,
+                    ..base
+                },
+                ConfigError::InvalidIpc(f64::INFINITY),
             ),
             (
                 SystemConfig {
@@ -250,7 +265,11 @@ mod tests {
             ),
         ];
         for (cfg, want) in cases {
-            assert_eq!(cfg.validate(), Err(want));
+            // Compared as text: a NaN payload is never equal to itself.
+            assert_eq!(
+                format!("{:?}", cfg.validate()),
+                format!("{:?}", Err::<(), _>(want))
+            );
             assert!(!want.to_string().is_empty());
         }
     }

@@ -20,7 +20,7 @@ use cameo_types::Cycle;
 /// use cameo_types::Cycle;
 ///
 /// let mut core = CoreTimeline::new(1.0, 2);
-/// core.advance(100);
+/// core.advance(100, core.cycles_for(100));
 /// let t = core.issue();
 /// assert_eq!(t, Cycle::new(100));
 /// core.complete_read(t + Cycle::new(50));
@@ -40,9 +40,12 @@ impl CoreTimeline {
     ///
     /// # Panics
     ///
-    /// Panics if `ipc <= 0` or `mlp == 0`.
+    /// Panics unless `ipc` is positive and finite, or if `mlp == 0`.
     pub fn new(ipc: f64, mlp: usize) -> Self {
-        assert!(ipc > 0.0, "IPC must be positive");
+        assert!(
+            ipc > 0.0 && ipc.is_finite(),
+            "IPC must be positive and finite"
+        );
         assert!(mlp > 0, "MLP must be positive");
         Self {
             time: Cycle::ZERO,
@@ -72,19 +75,34 @@ impl CoreTimeline {
         self.stall_cycles
     }
 
-    /// Retires `instructions` at the base IPC.
-    pub fn advance(&mut self, instructions: u64) {
-        self.instructions += instructions;
-        self.time += Cycle::new((instructions as f64 / self.ipc).ceil() as u64);
+    /// Cycles `instructions` take at the base IPC: `⌈instructions / ipc⌉`,
+    /// bit-identical to `(instructions as f64 / ipc).ceil() as u64`. The
+    /// ceiling is taken in integers (truncate, then add one if a fraction
+    /// was cut), so the SSE2 baseline makes no `ceil` library call.
+    #[inline]
+    pub fn cycles_for(&self, instructions: u64) -> u64 {
+        let q = instructions as f64 / self.ipc;
+        // `as` saturates at u64::MAX, where `ceil() as u64` does too.
+        let t = q as u64;
+        t.saturating_add(u64::from((t as f64) < q))
     }
 
-    /// Predicts when a request following `gap_instructions` more
-    /// instructions would issue, accounting for an MLP-window stall —
-    /// without changing any state. The runner uses this as its global
-    /// event-ordering key so that device accesses are generated in
-    /// nondecreasing time order.
-    pub fn projected_issue(&self, gap_instructions: u64) -> Cycle {
-        let t = self.time + Cycle::new((gap_instructions as f64 / self.ipc).ceil() as u64);
+    /// Retires `instructions`, which take `cycles` at the base IPC (from
+    /// [`CoreTimeline::cycles_for`]).
+    #[inline]
+    pub fn advance(&mut self, instructions: u64, cycles: u64) {
+        self.instructions += instructions;
+        self.time += Cycle::new(cycles);
+    }
+
+    /// Predicts when a request following `cycles` more cycles of execution
+    /// (from [`CoreTimeline::cycles_for`]) would issue, accounting for an
+    /// MLP-window stall — without changing any state. The runner uses this
+    /// as its global event-ordering key so that device accesses are
+    /// generated in nondecreasing time order.
+    #[inline]
+    pub fn projected_issue(&self, cycles: u64) -> Cycle {
+        let t = self.time + Cycle::new(cycles);
         match self.outstanding.front() {
             Some(&oldest) if self.outstanding.len() >= self.mlp => t.later(oldest),
             _ => t,
@@ -93,6 +111,7 @@ impl CoreTimeline {
 
     /// Returns the cycle at which the next memory request can issue,
     /// stalling the core first if the MLP window is full.
+    #[inline]
     pub fn issue(&mut self) -> Cycle {
         if self.outstanding.len() >= self.mlp {
             if let Some(oldest) = self.outstanding.pop_front() {
@@ -106,6 +125,7 @@ impl CoreTimeline {
     }
 
     /// Records an outstanding demand read completing at `completion`.
+    #[inline]
     pub fn complete_read(&mut self, completion: Cycle) {
         self.outstanding.push_back(completion);
     }
@@ -148,7 +168,7 @@ mod tests {
     #[test]
     fn advance_by_ipc() {
         let mut c = CoreTimeline::new(2.0, 4);
-        c.advance(100);
+        c.advance(100, c.cycles_for(100));
         assert_eq!(c.time(), Cycle::new(50));
         assert_eq!(c.instructions(), 100);
     }
@@ -169,7 +189,7 @@ mod tests {
     #[test]
     fn no_stall_when_window_free() {
         let mut c = CoreTimeline::new(1.0, 4);
-        c.advance(10);
+        c.advance(10, 10);
         let t = c.issue();
         assert_eq!(t, Cycle::new(10));
         assert_eq!(c.stall_cycles(), 0);
@@ -197,15 +217,15 @@ mod tests {
     fn projected_issue_matches_actual_issue() {
         let mut c = CoreTimeline::new(2.0, 2);
         // Window empty: projection is time + gap/ipc.
-        assert_eq!(c.projected_issue(100), Cycle::new(50));
+        assert_eq!(c.projected_issue(c.cycles_for(100)), Cycle::new(50));
         // Fill the window with slow completions.
         let t0 = c.issue();
         c.complete_read(t0 + Cycle::new(1000));
         let t1 = c.issue();
         c.complete_read(t1 + Cycle::new(2000));
         // Projection must account for the oldest outstanding read.
-        let projected = c.projected_issue(10);
-        c.advance(10);
+        let projected = c.projected_issue(c.cycles_for(10));
+        c.advance(10, c.cycles_for(10));
         let actual = c.issue();
         assert_eq!(projected, actual);
         assert_eq!(actual, Cycle::new(1000));
@@ -214,7 +234,7 @@ mod tests {
     #[test]
     fn projected_issue_is_pure() {
         let mut c = CoreTimeline::new(1.0, 4);
-        c.advance(42);
+        c.advance(42, 42);
         let before = c.time();
         let _ = c.projected_issue(7);
         let _ = c.projected_issue(7);
@@ -223,9 +243,51 @@ mod tests {
     }
 
     #[test]
+    fn cycles_for_matches_float_ceil() {
+        let gaps = [
+            0u64,
+            1,
+            2,
+            3,
+            7,
+            48,
+            1_000,
+            123_456_789,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            (1 << 53) + 3,
+            (1 << 60) + 12_345,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let ipcs = [2.0, 1.0, 0.5, 0.7, 1.5, 3.0, 2.5, 0.1, 0.3, 1e-300, 1e300];
+        for ipc in ipcs {
+            let c = CoreTimeline::new(ipc, 1);
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let random = std::iter::repeat_with(|| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state >> (state % 64)
+            });
+            for gap in gaps.into_iter().chain(random.take(2_000)) {
+                let want = (gap as f64 / ipc).ceil() as u64;
+                assert_eq!(c.cycles_for(gap), want, "gap {gap} at ipc {ipc}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn infinite_ipc_rejected() {
+        CoreTimeline::new(f64::INFINITY, 1);
+    }
+
+    #[test]
     fn reset_zeroes_everything() {
         let mut c = CoreTimeline::new(1.0, 2);
-        c.advance(100);
+        c.advance(100, 100);
         c.complete_read(Cycle::new(1000));
         c.reset();
         assert_eq!(c.time(), Cycle::ZERO);

@@ -25,30 +25,75 @@ struct CoreState<S> {
     timeline: CoreTimeline,
     stream: S,
     pending: MissEvent,
+    /// `timeline.cycles_for(pending.gap_instructions)`, computed once.
+    pending_cycles: u64,
 }
 
-/// Sentinel in the next-issue scan for a core that retired all of its
-/// instructions. Projected issue times are real cycle counts and sit many
-/// orders of magnitude below this; the watchdog trips long before any
-/// clock could approach it.
+/// Projected issue time of a core that retired all of its instructions.
+/// Projected issue times are real cycle counts and sit many orders of
+/// magnitude below this; the watchdog trips long before any clock could
+/// approach it.
 const CORE_DONE: u64 = u64::MAX;
 
-/// Index of the core with the earliest projected issue time, breaking
-/// ties toward the lowest index — the same `(time, index)` lexicographic
-/// order the former `BinaryHeap<Reverse<(u64, usize)>>` produced, so
-/// event interleaving (and therefore every statistic) is bit-identical.
-/// A flat scan beats heap maintenance for the small fixed core counts we
-/// simulate (the paper's configurations are 8-core).
-fn earliest_core(next_issue: &[u64]) -> Option<usize> {
-    let mut best = CORE_DONE;
-    let mut idx = None;
-    for (i, &t) in next_issue.iter().enumerate() {
-        if t < best {
-            best = t;
-            idx = Some(i);
+/// A winner (tournament) tree over the cores' projected issue times. Each
+/// internal node holds the earlier of its two children's winners, ties to
+/// the lower index, so the root is the `(time, index)` lexicographic
+/// minimum: the event interleaving every golden pins depends on that
+/// order, ties included. Changing one core's time replays only the
+/// log2(cores) matches on its leaf's path.
+struct WinnerTree {
+    /// Projected issue time per leaf; leaves past the last core hold
+    /// [`CORE_DONE`].
+    times: Vec<u64>,
+    /// `winners[leaves + i] = i`; internal node `n` holds the winner of
+    /// nodes `2n` and `2n + 1`, and node 1 is the root. Node 0 is unused.
+    winners: Vec<usize>,
+}
+
+impl WinnerTree {
+    fn new(mut times: Vec<u64>) -> Self {
+        let leaves = times.len().next_power_of_two();
+        times.resize(leaves, CORE_DONE);
+        let mut winners = vec![0; leaves];
+        winners.extend(0..leaves);
+        let mut tree = Self { times, winners };
+        for node in (1..leaves).rev() {
+            tree.replay(node);
+        }
+        tree
+    }
+
+    /// Re-runs the match at internal node `node`. The left child's winner
+    /// has the lower index, so it keeps ties.
+    #[inline]
+    fn replay(&mut self, node: usize) {
+        let left = self.winners[2 * node];
+        let right = self.winners[2 * node + 1];
+        self.winners[node] = if self.times[right] < self.times[left] {
+            right
+        } else {
+            left
+        };
+    }
+
+    /// Index of the core with the earliest projected issue time, ties to
+    /// the lowest index, or `None` once every core is done.
+    #[inline]
+    fn earliest(&self) -> Option<usize> {
+        let w = self.winners[1];
+        (self.times[w] != CORE_DONE).then_some(w)
+    }
+
+    /// Sets core `idx`'s projected issue time.
+    #[inline]
+    fn set(&mut self, idx: usize, time: u64) {
+        self.times[idx] = time;
+        let mut node = (self.times.len() + idx) / 2;
+        while node > 0 {
+            self.replay(node);
+            node /= 2;
         }
     }
-    idx
 }
 
 /// Per-core trace configurations for one benchmark under `config`.
@@ -210,8 +255,11 @@ pub enum SessionStatus {
 pub struct RunSession<S> {
     bench: String,
     cores: Vec<CoreState<S>>,
-    next_issue: Vec<u64>,
+    next_issue: WinnerTree,
     warmup_instr: u64,
+    /// Cores that have retired `warmup_instr` instructions; the measured
+    /// region starts when all have.
+    warm_cores: usize,
     total_instr: u64,
     /// Divisor for the per-core instruction average (`cfg.cores`).
     core_count: u64,
@@ -274,22 +322,25 @@ impl<S: MissStream> RunSession<S> {
             .into_iter()
             .map(|mut stream| {
                 let pending = stream.next_event();
+                let timeline = CoreTimeline::new(cfg.ipc, cfg.mlp);
                 CoreState {
-                    timeline: CoreTimeline::new(cfg.ipc, cfg.mlp),
+                    pending_cycles: timeline.cycles_for(pending.gap_instructions),
+                    timeline,
                     stream,
                     pending,
                 }
             })
             .collect();
 
-        // Per-core projected issue times ([`CORE_DONE`] once retired),
-        // min-scanned by [`earliest_core`]. The projection includes
-        // MLP-window stalls so device accesses are generated in
-        // (approximately) nondecreasing time order.
-        let next_issue: Vec<u64> = cores
-            .iter()
-            .map(|c| c.timeline.projected_issue(c.pending.gap_instructions).raw())
-            .collect();
+        // Per-core projected issue times ([`CORE_DONE`] once retired).
+        // The projection includes MLP-window stalls so device accesses
+        // are generated in (approximately) nondecreasing time order.
+        let next_issue = WinnerTree::new(
+            cores
+                .iter()
+                .map(|c| c.timeline.projected_issue(c.pending_cycles).raw())
+                .collect(),
+        );
 
         let core_len = cores.len();
         Ok(Self {
@@ -297,6 +348,7 @@ impl<S: MissStream> RunSession<S> {
             cores,
             next_issue,
             warmup_instr,
+            warm_cores: 0,
             total_instr,
             core_count: u64::from(cfg.cores),
             measuring: warmup_instr == 0,
@@ -331,7 +383,7 @@ impl<S: MissStream> RunSession<S> {
     ) -> Result<SessionStatus, SimError> {
         let mut remaining = max_accesses;
         while remaining > 0 {
-            let Some(idx) = earliest_core(&self.next_issue) else {
+            let Some(idx) = self.next_issue.earliest() else {
                 return Ok(SessionStatus::Complete(Box::new(self.finish(org))));
             };
             remaining -= 1;
@@ -339,7 +391,12 @@ impl<S: MissStream> RunSession<S> {
             {
                 let core = &mut self.cores[idx];
                 let event = core.pending;
-                core.timeline.advance(event.gap_instructions);
+                let was_cold = core.timeline.instructions() < self.warmup_instr;
+                core.timeline
+                    .advance(event.gap_instructions, core.pending_cycles);
+                if was_cold && core.timeline.instructions() >= self.warmup_instr {
+                    self.warm_cores += 1;
+                }
                 let issue = core.timeline.issue();
                 if let Some(budget) = budget_cycles {
                     if issue.raw() > budget {
@@ -389,12 +446,7 @@ impl<S: MissStream> RunSession<S> {
 
             // Warmup boundary: once every core has crossed it, zero the
             // counters and record per-core time offsets.
-            if !self.measuring
-                && self
-                    .cores
-                    .iter()
-                    .all(|c| c.timeline.instructions() >= self.warmup_instr)
-            {
+            if !self.measuring && self.warm_cores == self.cores.len() {
                 self.measuring = true;
                 org.reset_stats();
                 for (i, c) in self.cores.iter().enumerate() {
@@ -403,18 +455,17 @@ impl<S: MissStream> RunSession<S> {
                 }
             }
 
-            if finished_instructions < self.total_instr {
+            let next = if finished_instructions < self.total_instr {
                 let core = &mut self.cores[idx];
                 core.pending = core.stream.next_event();
-                self.next_issue[idx] = core
-                    .timeline
-                    .projected_issue(core.pending.gap_instructions)
-                    .raw();
+                core.pending_cycles = core.timeline.cycles_for(core.pending.gap_instructions);
+                core.timeline.projected_issue(core.pending_cycles).raw()
             } else {
-                self.next_issue[idx] = CORE_DONE;
-            }
+                CORE_DONE
+            };
+            self.next_issue.set(idx, next);
         }
-        if earliest_core(&self.next_issue).is_none() {
+        if self.next_issue.earliest().is_none() {
             // The budget ran out exactly at retirement; finish now rather
             // than making the caller pay a whole extra chunk round-trip.
             return Ok(SessionStatus::Complete(Box::new(self.finish(org))));
@@ -481,6 +532,49 @@ mod tests {
     fn runner<'a>(name: &str, cfg: &'a SystemConfig) -> Runner<'a> {
         let bench = cameo_workloads::require(name).expect("suite benchmark");
         Runner::new(bench, cfg).expect("test config is valid")
+    }
+
+    /// The linear scan the winner tree replaced.
+    fn earliest_by_scan(next_issue: &[u64]) -> Option<usize> {
+        let mut best = CORE_DONE;
+        let mut idx = None;
+        for (i, &t) in next_issue.iter().enumerate() {
+            if t < best {
+                best = t;
+                idx = Some(i);
+            }
+        }
+        idx
+    }
+
+    #[test]
+    fn winner_tree_matches_the_scan() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
+        // Times from a small range so ties are common; one draw in five
+        // retires the core.
+        let draw = |rng: &mut rand::rngs::SmallRng| {
+            if rng.gen_range(0..5u32) == 0 {
+                CORE_DONE
+            } else {
+                rng.gen_range(0..6u64)
+            }
+        };
+        for cores in 1..=40usize {
+            let mut times: Vec<u64> = (0..cores).map(|_| draw(&mut rng)).collect();
+            let mut tree = WinnerTree::new(times.clone());
+            assert_eq!(tree.earliest(), earliest_by_scan(&times));
+            for _ in 0..400 {
+                let i = rng.gen_range(0..cores);
+                times[i] = draw(&mut rng);
+                tree.set(i, times[i]);
+                assert_eq!(tree.earliest(), earliest_by_scan(&times), "{times:?}");
+            }
+            for i in 0..cores {
+                tree.set(i, CORE_DONE);
+            }
+            assert_eq!(tree.earliest(), None);
+        }
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub struct RunStats {
 }
 
 /// Bucket index of a latency value in [`RunStats::latency_histogram`].
+#[inline]
 pub fn latency_bucket(latency: u64) -> usize {
     (63 - (latency | 1).leading_zeros()).min(23) as usize
 }

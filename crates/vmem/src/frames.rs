@@ -207,6 +207,11 @@ pub struct FrameAllocator {
     frames: FrameTable,
     stacked_frames: u64,
     free: FreeList,
+    /// Free-list entries below `stacked_frames`: a region with no free
+    /// frame answers `find_free`/`take_free` without scanning the list
+    /// (TLM-Dynamic asks for a stacked frame on every off-chip touch, long
+    /// after the stacked region filled).
+    free_stacked: usize,
     clock_hand: usize,
 }
 
@@ -237,6 +242,7 @@ impl FrameAllocator {
             // prefers fast memory while it lasts. (The lazy list *is* this
             // ordering: its virtual initial state.)
             free: FreeList::new(total),
+            free_stacked: usize::try_from(stacked_frames).expect("pool fits memory"),
             clock_hand: 0,
         }
     }
@@ -300,13 +306,19 @@ impl FrameAllocator {
     /// Takes a frame for `page`, preferring `region`, evicting a victim if
     /// the pool is full.
     ///
-    /// Victim selection follows the paper: five random probes looking for an
-    /// unreferenced frame, then a clock sweep that clears referenced bits
-    /// until one is found.
+    /// A preferred region with no free frame falls back to the first free
+    /// frame of the other region (in free-list order): an OS does not evict
+    /// while memory is free. Victim selection follows the paper: five
+    /// random probes looking for an unreferenced frame, then a clock sweep
+    /// that clears referenced bits until one is found.
     pub fn take(&mut self, page: PageAddr, region: Region, rng: &mut SmallRng) -> Took {
-        let frame = self
-            .take_free(region, rng)
-            .unwrap_or_else(|| self.select_victim(rng));
+        let frame = match self.take_free(region, rng) {
+            Some(frame) => frame,
+            // Every free frame is in the other region, so slot 0 is the
+            // first of them in list order.
+            None if !self.free.is_empty() => self.remove_free(0),
+            None => self.select_victim(rng),
+        };
         let slot = self.frames.get_mut(frame.0 as usize);
         let evicted = slot.resident.map(|p| (p, slot.dirty));
         *slot = Frame {
@@ -328,6 +340,9 @@ impl FrameAllocator {
         assert!(slot.resident.is_some(), "double free of frame {frame:?}");
         *slot = Frame::default();
         self.free.push(frame.0);
+        if frame.0 < self.stacked_frames {
+            self.free_stacked += 1;
+        }
     }
 
     /// Atomically exchanges the pages resident in two frames, preserving
@@ -356,7 +371,7 @@ impl FrameAllocator {
         }
         // Remove from the free list.
         if let Some(pos) = self.free.position(|f| f == frame.0) {
-            self.free.swap_remove(pos);
+            self.remove_free(pos);
         }
         *self.frames.get_mut(idx) = Frame {
             resident: Some(page),
@@ -369,6 +384,9 @@ impl FrameAllocator {
     /// Peeks at a free frame in `region` without taking it (used by
     /// migration policies that fill holes before swapping).
     pub fn find_free(&self, region: Region) -> Option<FrameId> {
+        if self.free_in(region) == 0 {
+            return None;
+        }
         let stacked = self.stacked_frames;
         self.free
             .find(|f| match region {
@@ -379,27 +397,39 @@ impl FrameAllocator {
             .map(FrameId)
     }
 
+    /// Free frames in `region`.
+    #[inline]
+    fn free_in(&self, region: Region) -> usize {
+        match region {
+            Region::Any => self.free.len(),
+            Region::Stacked => self.free_stacked,
+            Region::OffChip => self.free.len() - self.free_stacked,
+        }
+    }
+
     fn take_free(&mut self, region: Region, rng: &mut SmallRng) -> Option<FrameId> {
-        if self.free.is_empty() {
+        if self.free_in(region) == 0 {
             return None;
         }
         let stacked = self.stacked_frames;
-        match region {
-            Region::Any => {
-                // Random placement across the whole pool (TLM-Static's
-                // locality-oblivious mapping).
-                let idx = rng.gen_range(0..self.free.len());
-                Some(FrameId(self.free.swap_remove(idx)))
-            }
-            Region::Stacked => {
-                let pos = self.free.position(|f| f < stacked)?;
-                Some(FrameId(self.free.swap_remove(pos)))
-            }
-            Region::OffChip => {
-                let pos = self.free.position(|f| f >= stacked)?;
-                Some(FrameId(self.free.swap_remove(pos)))
-            }
+        let pos = match region {
+            // Random placement across the whole pool (TLM-Static's
+            // locality-oblivious mapping).
+            Region::Any => rng.gen_range(0..self.free.len()),
+            Region::Stacked => self.free.position(|f| f < stacked)?,
+            Region::OffChip => self.free.position(|f| f >= stacked)?,
+        };
+        Some(self.remove_free(pos))
+    }
+
+    /// Removes free-list slot `pos` (`Vec::swap_remove` order), keeping the
+    /// free-stacked count.
+    fn remove_free(&mut self, pos: usize) -> FrameId {
+        let frame = self.free.swap_remove(pos);
+        if frame < self.stacked_frames {
+            self.free_stacked -= 1;
         }
+        FrameId(frame)
     }
 
     fn select_victim(&mut self, rng: &mut SmallRng) -> FrameId {
@@ -556,6 +586,27 @@ mod tests {
     }
 
     #[test]
+    fn full_preferred_region_falls_back_instead_of_evicting() {
+        let mut fa = FrameAllocator::new(1, 3);
+        let mut r = rng();
+        let first = fa.take(PageAddr::new(0), Region::Stacked, &mut r);
+        assert_eq!(first.frame, FrameId(0));
+        // No stacked frame is free: the first free off-chip frame in list
+        // order (3, the list's head) is granted, and it leaves the list.
+        let second = fa.take(PageAddr::new(1), Region::Stacked, &mut r);
+        assert_eq!(second.frame, FrameId(3));
+        assert_eq!(second.evicted, None);
+        assert_eq!(fa.free_frames(), 2);
+        // And symmetrically once the off-chip region is full.
+        let mut fa = FrameAllocator::new(2, 1);
+        fa.take(PageAddr::new(0), Region::OffChip, &mut r);
+        let spill = fa.take(PageAddr::new(1), Region::OffChip, &mut r);
+        assert_eq!(fa.region_of(spill.frame), Region::Stacked);
+        assert_eq!(spill.evicted, None);
+        assert_eq!(fa.free_frames(), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_pool_rejected() {
         FrameAllocator::new(0, 0);
@@ -615,8 +666,14 @@ mod tests {
         }
 
         fn take(&mut self, page: PageAddr, region: Region, rng: &mut SmallRng) -> Took {
+            let other = match region {
+                Region::Stacked => Region::OffChip,
+                Region::OffChip => Region::Stacked,
+                Region::Any => Region::Any,
+            };
             let frame = self
                 .take_free(region, rng)
+                .or_else(|| self.take_free(other, rng))
                 .unwrap_or_else(|| self.select_victim(rng));
             let slot = &mut self.frames[frame.0 as usize];
             let evicted = slot.resident.map(|p| (p, slot.dirty));
@@ -646,6 +703,18 @@ mod tests {
                     Some(FrameId(self.free.swap_remove(pos)))
                 }
             }
+        }
+
+        fn find_free(&self, region: Region) -> Option<FrameId> {
+            self.free
+                .iter()
+                .copied()
+                .find(|&f| match region {
+                    Region::Any => true,
+                    Region::Stacked => f < self.stacked_frames,
+                    Region::OffChip => f >= self.stacked_frames,
+                })
+                .map(FrameId)
         }
 
         fn select_victim(&mut self, rng: &mut SmallRng) -> FrameId {
@@ -748,6 +817,14 @@ mod tests {
                     }
                 }
                 proptest::prop_assert_eq!(lazy.free_frames(), eager.free.len());
+                for region in [Region::Any, Region::Stacked, Region::OffChip] {
+                    proptest::prop_assert_eq!(lazy.find_free(region), eager.find_free(region));
+                }
+                // A granted frame always leaves the free list.
+                for i in 0..lazy.free.len() {
+                    let f = FrameId(lazy.free.value(i));
+                    proptest::prop_assert_eq!(lazy.resident(f), None, "frame {:?} resident and free", f);
+                }
             }
             for f in 0..total {
                 let got = lazy.frames.get(f as usize);

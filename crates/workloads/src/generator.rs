@@ -3,7 +3,7 @@
 
 use cameo_types::{LineAddr, LINES_PER_PAGE};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::suite::BenchSpec;
 
@@ -64,6 +64,11 @@ pub struct TraceGenerator {
     /// Lines used per page (spatial density), at least one.
     used_lines: u64,
     mean_gap: f64,
+    /// The behavior's stream, hot-access and write probabilities as
+    /// [`threshold`]s.
+    stream_threshold: u64,
+    hot_threshold: u64,
+    write_threshold: u64,
     // Sequential-stream state.
     stream_page: u64,
     stream_line: u64,
@@ -78,6 +83,8 @@ pub struct TraceGenerator {
     cold_line: u64,
     // Hot-set dwell state.
     hot_page: u64,
+    /// `window_start(hot_page)`.
+    hot_window: u64,
     hot_remaining: u64,
     hot_pc: u64,
     // Running counters for calibration checks.
@@ -90,7 +97,8 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.scale` is zero.
+    /// Panics if `cfg.scale` is zero, or if the stream, hot-access or write
+    /// probability is outside `[0, 1]`.
     pub fn new(spec: BenchSpec, cfg: TraceConfig) -> Self {
         let pages = spec.scaled_footprint(cfg.scale).pages().max(1);
         let hot_pages = ((pages as f64 * spec.behavior.hot_fraction) as u64).max(1);
@@ -106,6 +114,9 @@ impl TraceGenerator {
             hot_pages,
             used_lines,
             mean_gap: 1000.0 / spec.mpki,
+            stream_threshold: threshold(spec.behavior.stream_prob),
+            hot_threshold: threshold(spec.behavior.hot_access_prob),
+            write_threshold: threshold(spec.behavior.write_fraction),
             stream_page,
             stream_line: 0,
             stream_remaining: 0,
@@ -115,6 +126,7 @@ impl TraceGenerator {
             cold_pc: 0,
             cold_line: 0,
             hot_page: 0,
+            hot_window: 0,
             hot_remaining: 0,
             hot_pc: 0,
             instructions: 0,
@@ -149,15 +161,14 @@ impl TraceGenerator {
     /// Draws the next miss event.
     pub fn next_event(&mut self) -> MissEvent {
         let gap = self.sample_gap();
-        let b = self.spec.behavior;
-        let (page, line_in_page, pc) = if self.rng.gen_bool(b.stream_prob) {
+        let (page, line_in_page, pc) = if chance(&mut self.rng, self.stream_threshold) {
             self.next_stream()
-        } else if self.rng.gen_bool(b.hot_access_prob) {
+        } else if chance(&mut self.rng, self.hot_threshold) {
             self.next_hot()
         } else {
             self.next_cold()
         };
-        let is_write = self.rng.gen_bool(b.write_fraction);
+        let is_write = chance(&mut self.rng, self.write_threshold);
         let line = LineAddr::new(
             (self.cfg.core_offset_pages + page) * LINES_PER_PAGE as u64 + line_in_page,
         );
@@ -188,14 +199,11 @@ impl TraceGenerator {
             self.stream_page = self.rng.gen_range(0..self.pages);
             self.stream_line = 0;
             self.stream_remaining = self.rng.gen_range(64..512);
-            self.stream_pc = self.rng.gen_range(0..4.min(self.spec.behavior.pc_pool)) as u64;
+            let slot = self.rng.gen_range(0..4.min(self.spec.behavior.pc_pool));
+            self.stream_pc = self.pc_of(slot);
         }
         self.stream_remaining -= 1;
-        let out = (
-            self.stream_page,
-            self.stream_line,
-            self.pc_of(self.stream_pc as usize),
-        );
+        let out = (self.stream_page, self.stream_line, self.stream_pc);
         self.stream_line += 1;
         if self.stream_line >= LINES_PER_PAGE as u64 {
             self.stream_line = 0;
@@ -229,9 +237,11 @@ impl TraceGenerator {
             self.hot_page = ((u * u) * self.hot_pages as f64) as u64 % self.hot_pages;
             self.hot_remaining = self.rng.gen_range(1..=4);
             self.hot_pc = self.pc_of(self.hot_pc_slot(self.hot_page));
+            self.hot_window = self.window_start(self.hot_page);
         }
         self.hot_remaining -= 1;
-        let line = self.line_within(self.hot_page);
+        // A line within the page's used-lines window (partial page usage).
+        let line = self.hot_window + self.rng.gen_range(0..self.used_lines);
         (self.hot_page, line, self.hot_pc)
     }
 
@@ -264,12 +274,26 @@ impl TraceGenerator {
             (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % (window + 1)
         }
     }
+}
 
-    /// Picks a line within the page's used-lines window, modeling partial
-    /// page usage.
-    fn line_within(&mut self, page: u64) -> u64 {
-        self.window_start(page) + self.rng.gen_range(0..self.used_lines)
-    }
+/// The integer form of `gen_bool(p)`: the vendored `rand` draws
+/// `k = next_u64() >> 11` and returns `k·2⁻⁵³ < p`. For an integer `k`
+/// that holds exactly when `k < ⌈p·2⁵³⌉`, and `p·2⁵³` is exact in `f64`
+/// (a power-of-two scale), so `k < threshold(p)` is the same decision.
+///
+/// # Panics
+///
+/// Panics unless `0 <= p <= 1`, as `gen_bool` does.
+fn threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "gen_bool: p out of [0, 1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// `rng.gen_bool(p)` for the `p` whose [`threshold`] is `threshold`: the
+/// same draw from the stream, compared in integers.
+#[inline]
+fn chance(rng: &mut SmallRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
 }
 
 #[cfg(test)]
@@ -287,6 +311,32 @@ mod tests {
                 core_offset_pages: 0,
             },
         )
+    }
+
+    #[test]
+    fn threshold_draws_equal_gen_bool() {
+        let mut ps = vec![0.0, 1.0, 0.5, 0.1, 0.3, 1e-300, 1.0 - f64::EPSILON, 0.25];
+        ps.extend(crate::suite().iter().flat_map(|s| {
+            let b = s.behavior;
+            [b.stream_prob, b.hot_access_prob, b.write_fraction]
+        }));
+        for (i, p) in ps.into_iter().enumerate() {
+            let t = threshold(p);
+            let mut a = SmallRng::seed_from_u64(i as u64);
+            let mut b = a.clone();
+            for _ in 0..20_000 {
+                assert_eq!(chance(&mut a, t), b.gen_bool(p), "p = {p}");
+            }
+            // At the boundary: the largest draw below the threshold is a
+            // hit and the threshold itself is a miss.
+            let unit = 1.0 / (1u64 << 53) as f64;
+            if t > 0 {
+                assert!(((t - 1) as f64) * unit < p, "p = {p}");
+            }
+            if t < 1 << 53 {
+                assert!((t as f64) * unit >= p, "p = {p}");
+            }
+        }
     }
 
     #[test]

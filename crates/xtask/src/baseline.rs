@@ -13,7 +13,7 @@
 //! *decided to live with*; every entry carries a `reason`. Prefer an
 //! in-source `// lint: allow(<rule>)` when the justification belongs
 //! next to the code; prefer a baseline entry when annotating the source
-//! would be noise (e.g. the perf-metrics wall-clock reads). Both are
+//! would be noise (e.g. the per-point wall-clock read). Both are
 //! reviewable records — the lint never suppresses silently.
 //!
 //! Serialization is canonical (two-space indent, fixed key order, sorted

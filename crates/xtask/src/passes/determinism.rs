@@ -11,10 +11,9 @@
 //!   deterministic hasher.
 //! * `wall-clock` — reading the host clock (`Instant::now`,
 //!   `SystemTime::now`). Wall-clock values are inherently
-//!   non-reproducible; only the perf-metrics plumbing may read them, and
-//!   the results must stay out of report equality (`wall_nanos` is
-//!   excluded from `PartialEq`). Outside the allowlisted files every
-//!   read needs an in-source justification or a baseline entry.
+//!   non-reproducible and must stay out of report equality (`wall_nanos`
+//!   is excluded from `PartialEq`), so every read needs an in-source
+//!   justification or a baseline entry.
 //! * `unordered-iter` — iterating a default-hasher map in the
 //!   report-producing crates (`sim`, `bench`), where element order can
 //!   reach a `SweepReport`, a printed table, or a checkpoint. The pass
@@ -29,16 +28,13 @@ use crate::rules::Diagnostic;
 
 /// Rule name: default-hasher hash collection construction.
 pub const DET_HASH: &str = "det-hash";
-/// Rule name: host wall-clock reads outside the perf-metrics allowlist.
+/// Rule name: host wall-clock reads.
 pub const WALL_CLOCK: &str = "wall-clock";
 /// Rule name: unordered-map iteration in the report-producing crates.
 pub const UNORDERED_ITER: &str = "unordered-iter";
 
 /// The module defining the deterministic hasher may name std's types.
 pub const DET_HASH_EXEMPT_FILE: &str = "crates/types/src/hash.rs";
-
-/// Files allowed to read the host clock: the perf-metrics plumbing.
-pub const WALL_CLOCK_EXEMPT_FILES: [&str; 1] = ["crates/bench/src/perf.rs"];
 
 /// Crates where map iteration order can reach a report.
 pub const REPORT_CRATES: [&str; 2] = ["sim", "bench"];
@@ -80,9 +76,6 @@ pub fn run(model: &WorkspaceModel) -> Vec<Diagnostic> {
 /// Runs the pass over one file's facts.
 pub fn check_file(file: &FileFacts, out: &mut Vec<Diagnostic>) {
     let hash_exempt = file.path.ends_with(DET_HASH_EXEMPT_FILE);
-    let clock_exempt = WALL_CLOCK_EXEMPT_FILES
-        .iter()
-        .any(|f| file.path.ends_with(f));
     let report_crate = REPORT_CRATES.contains(&file.crate_dir.as_str());
     let tracked = report_crate.then(|| tracked_map_names(file));
     for (idx, line) in file.src.lines.iter().enumerate() {
@@ -111,17 +104,15 @@ pub fn check_file(file: &FileFacts, out: &mut Vec<Diagnostic>) {
                 );
             }
         }
-        if !clock_exempt {
-            if let Some(token) = first_token(&line.code, &WALL_CLOCK_TOKENS) {
-                report(
-                    WALL_CLOCK,
-                    format!(
-                        "`{token}` reads the host clock outside the perf-metrics \
-                         allowlist; wall-clock values are non-reproducible and must \
-                         never feed simulated state or report equality"
-                    ),
-                );
-            }
+        if let Some(token) = first_token(&line.code, &WALL_CLOCK_TOKENS) {
+            report(
+                WALL_CLOCK,
+                format!(
+                    "`{token}` reads the host clock; wall-clock values are \
+                     non-reproducible and must never feed simulated state or \
+                     report equality"
+                ),
+            );
         }
         if let Some(tracked) = &tracked {
             if let Some(name) = iterated_map(&line.code, tracked) {
@@ -317,7 +308,6 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); let s = std::time::SystemTime::now(); }";
         let d = check("crates/sim/src/x.rs", "sim", src);
         assert_eq!(d.iter().filter(|d| d.rule == WALL_CLOCK).count(), 1); // one per line
-        assert!(check("crates/bench/src/perf.rs", "bench", src).is_empty());
     }
 
     #[test]
