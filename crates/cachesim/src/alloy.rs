@@ -42,14 +42,14 @@ pub const TAD_BYTES: u32 = 80;
 #[derive(Clone, Debug)]
 pub struct AlloyDirectory {
     sets: u64,
-    entries: Vec<Option<Tad>>,
+    /// One packed TAD per set: 0 when empty, otherwise `tag + 1`, with
+    /// [`DIRTY`] set when the line is dirty. A zeroed vector is an empty
+    /// directory, so pages no fill has reached are never touched.
+    entries: Vec<u32>,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Tad {
-    tag: u64,
-    dirty: bool,
-}
+/// Dirty flag of a packed TAD; the low 31 bits hold `tag + 1`.
+const DIRTY: u32 = 1 << 31;
 
 impl AlloyDirectory {
     /// Creates an empty directory with `sets` entries (one per stacked data
@@ -62,7 +62,7 @@ impl AlloyDirectory {
         assert!(sets > 0, "alloy cache must have at least one set");
         Self {
             sets,
-            entries: vec![None; sets as usize],
+            entries: vec![0; sets as usize],
         }
     }
 
@@ -78,58 +78,73 @@ impl AlloyDirectory {
         line.raw() % self.sets
     }
 
+    /// The set `line` maps to and the packed tag (`tag + 1`, clean) it
+    /// would hold there.
+    #[inline]
+    fn locate(&self, line: LineAddr) -> (usize, u64) {
+        (self.set_of(line) as usize, line.raw() / self.sets + 1)
+    }
+
     /// Returns whether `line` is currently resident (does not modify state).
     pub fn probe(&self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        let tag = line.raw() / self.sets;
-        self.entries[set as usize].is_some_and(|t| t.tag == tag)
+        let (set, key) = self.locate(line);
+        u64::from(self.entries[set] & !DIRTY) == key
     }
 
     /// Marks a resident line dirty; returns `false` if the line is absent.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        let tag = line.raw() / self.sets;
-        match &mut self.entries[set as usize] {
-            Some(t) if t.tag == tag => {
-                t.dirty = true;
-                true
-            }
-            _ => false,
+        let (set, key) = self.locate(line);
+        let entry = &mut self.entries[set];
+        let resident = u64::from(*entry & !DIRTY) == key;
+        if resident {
+            *entry |= DIRTY;
         }
+        resident
     }
 
     /// Installs `line`, returning the displaced victim (direct-mapped, so at
     /// most one) for writeback handling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line's tag does not fit the packed entry (2^31 − 1
+    /// tags): the directory is sized for memories under 2^31 − 1 times
+    /// its capacity.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Eviction> {
-        let set = self.set_of(line);
-        let tag = line.raw() / self.sets;
-        let victim = self.entries[set as usize].map(|t| Eviction {
-            line: LineAddr::new(t.tag * self.sets + set),
-            dirty: t.dirty,
-        });
-        self.entries[set as usize] = Some(Tad { tag, dirty });
-        // Re-filling the same line is not an eviction.
-        victim.filter(|v| v.line != line)
+        let (set, key) = self.locate(line);
+        assert!(
+            key < u64::from(DIRTY),
+            "alloy tag {} overflows the packed directory: memory must span fewer \
+             than 2^31 - 1 times the {} cached lines",
+            key - 1,
+            self.sets
+        );
+        let old = self.entries[set];
+        self.entries[set] = key as u32 | if dirty { DIRTY } else { 0 };
+        let old_key = u64::from(old & !DIRTY);
+        // An empty set has no victim, and re-filling the same line is not
+        // an eviction.
+        (old_key != 0 && old_key != key).then(|| Eviction {
+            line: LineAddr::new((old_key - 1) * self.sets + set as u64),
+            dirty: old & DIRTY != 0,
+        })
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.entries.iter().filter(|&&e| e != 0).count()
     }
 
     /// Drops `line` from the cache if resident (e.g. because its physical
     /// frame was recycled by the OS), returning whether it was dirty. No
     /// writeback is implied — callers decide what the dirtiness means.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let set = self.set_of(line) as usize;
-        let tag = line.raw() / self.sets;
-        match self.entries[set] {
-            Some(t) if t.tag == tag => {
-                self.entries[set] = None;
-                Some(t.dirty)
-            }
-            _ => None,
-        }
+        let (set, key) = self.locate(line);
+        let entry = self.entries[set];
+        (u64::from(entry & !DIRTY) == key).then(|| {
+            self.entries[set] = 0;
+            entry & DIRTY != 0
+        })
     }
 }
 
@@ -292,6 +307,95 @@ mod tests {
         assert!(dir.mark_dirty(a));
         let evicted = dir.fill(LineAddr::new(13), false).expect("eviction");
         assert!(evicted.dirty);
+    }
+
+    /// The retired directory: one `Option<Tad>` per set.
+    struct ModelDirectory {
+        sets: u64,
+        entries: Vec<Option<(u64, bool)>>,
+    }
+
+    impl ModelDirectory {
+        fn probe(&self, line: u64) -> bool {
+            self.entries[(line % self.sets) as usize]
+                .is_some_and(|(tag, _)| tag == line / self.sets)
+        }
+
+        fn mark_dirty(&mut self, line: u64) -> bool {
+            match &mut self.entries[(line % self.sets) as usize] {
+                Some((tag, dirty)) if *tag == line / self.sets => {
+                    *dirty = true;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
+            let set = line % self.sets;
+            let victim = self.entries[set as usize].map(|(tag, dirty)| Eviction {
+                line: LineAddr::new(tag * self.sets + set),
+                dirty,
+            });
+            self.entries[set as usize] = Some((line / self.sets, dirty));
+            victim.filter(|v| v.line.raw() != line)
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<bool> {
+            let set = (line % self.sets) as usize;
+            match self.entries[set] {
+                Some((tag, dirty)) if tag == line / self.sets => {
+                    self.entries[set] = None;
+                    Some(dirty)
+                }
+                _ => None,
+            }
+        }
+    }
+
+    #[test]
+    fn packed_directory_matches_the_option_model() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        for sets in [1u64, 2, 3, 7, 8, 64, 1000] {
+            let mut dir = AlloyDirectory::new(sets);
+            let mut model = ModelDirectory {
+                sets,
+                entries: vec![None; sets as usize],
+            };
+            // Lines from a span of a few tags per set, so hits, conflicts
+            // and re-fills are all common; plus the largest tag that fits.
+            let top = (u64::from(DIRTY) - 2) * sets;
+            for _ in 0..20_000 {
+                let line = if rng.gen_range(0..50u32) == 0 {
+                    top + rng.gen_range(0..sets)
+                } else {
+                    rng.gen_range(0..sets * 4)
+                };
+                let addr = LineAddr::new(line);
+                match rng.gen_range(0..4u32) {
+                    0 => assert_eq!(dir.probe(addr), model.probe(line), "probe {line}"),
+                    1 => assert_eq!(dir.mark_dirty(addr), model.mark_dirty(line), "mark {line}"),
+                    2 => {
+                        let dirty = rng.gen_bool(0.5);
+                        assert_eq!(
+                            dir.fill(addr, dirty),
+                            model.fill(line, dirty),
+                            "fill {line}"
+                        );
+                    }
+                    _ => assert_eq!(dir.invalidate(addr), model.invalidate(line), "drop {line}"),
+                }
+            }
+            assert_eq!(dir.occupancy(), model.entries.iter().flatten().count());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the packed directory")]
+    fn oversized_tag_rejected() {
+        let mut dir = AlloyDirectory::new(4);
+        dir.fill(LineAddr::new((u64::from(DIRTY) - 1) * 4), false);
     }
 
     #[test]

@@ -29,6 +29,11 @@ use cameo_types::Cycle;
 pub struct CoreTimeline {
     time: Cycle,
     ipc: f64,
+    /// `k` when `ipc == 2^k` for `0 <= k <= 62`, else 0.
+    ipc_log2: u32,
+    /// Counts below this take [`CoreTimeline::cycles_for`]'s exact shift:
+    /// `2^53` when `ipc == 2^ipc_log2`, else 0.
+    shift_below: u64,
     mlp: usize,
     outstanding: VecDeque<Cycle>,
     instructions: u64,
@@ -47,9 +52,12 @@ impl CoreTimeline {
             "IPC must be positive and finite"
         );
         assert!(mlp > 0, "MLP must be positive");
+        let ipc_log2 = (0..=62).find(|&k| ipc == (1u64 << k) as f64);
         Self {
             time: Cycle::ZERO,
             ipc,
+            ipc_log2: ipc_log2.unwrap_or(0),
+            shift_below: if ipc_log2.is_some() { 1 << 53 } else { 0 },
             mlp,
             outstanding: VecDeque::with_capacity(mlp),
             instructions: 0,
@@ -76,11 +84,20 @@ impl CoreTimeline {
     }
 
     /// Cycles `instructions` take at the base IPC: `⌈instructions / ipc⌉`,
-    /// bit-identical to `(instructions as f64 / ipc).ceil() as u64`. The
-    /// ceiling is taken in integers (truncate, then add one if a fraction
-    /// was cut), so the SSE2 baseline makes no `ceil` library call.
+    /// bit-identical to `(instructions as f64 / ipc).ceil() as u64`.
+    ///
+    /// At `ipc == 2^k` and `instructions < 2^53`, both the count and its
+    /// quotient by `2^k` are exact in `f64`, so the ceiling is the integer
+    /// `(instructions + 2^k - 1) >> k`. Otherwise the ceiling is taken on
+    /// the float quotient in integers (truncate, then add one if a
+    /// fraction was cut), so the SSE2 baseline makes no `ceil` library
+    /// call.
     #[inline]
     pub fn cycles_for(&self, instructions: u64) -> u64 {
+        if instructions < self.shift_below {
+            let k = self.ipc_log2;
+            return (instructions + (1 << k) - 1) >> k;
+        }
         let q = instructions as f64 / self.ipc;
         // `as` saturates at u64::MAX, where `ceil() as u64` does too.
         let t = q as u64;
@@ -261,7 +278,24 @@ mod tests {
             u64::MAX - 1,
             u64::MAX,
         ];
-        let ipcs = [2.0, 1.0, 0.5, 0.7, 1.5, 3.0, 2.5, 0.1, 0.3, 1e-300, 1e300];
+        let ipcs = [
+            2.0,
+            1.0,
+            4.0,
+            8.0,
+            (1u64 << 40) as f64,
+            (1u64 << 62) as f64,
+            (1u64 << 63) as f64,
+            0.5,
+            0.7,
+            1.5,
+            3.0,
+            2.5,
+            0.1,
+            0.3,
+            1e-300,
+            1e300,
+        ];
         for ipc in ipcs {
             let c = CoreTimeline::new(ipc, 1);
             let mut state = 0x9E37_79B9_7F4A_7C15u64;

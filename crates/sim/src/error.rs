@@ -4,7 +4,7 @@
 //! panicking, so a sweep over many design points can record what went wrong
 //! with one point and keep going (see [`crate::harness`]).
 
-use cameo_workloads::UnknownBenchmark;
+use cameo_workloads::{InvalidSpec, UnknownBenchmark};
 
 use crate::config::ConfigError;
 
@@ -15,6 +15,8 @@ pub enum SimError {
     Config(ConfigError),
     /// A benchmark name did not resolve against the Table II suite.
     UnknownBenchmark(UnknownBenchmark),
+    /// The [`cameo_workloads::BenchSpec`] cannot drive a generator.
+    InvalidSpec(InvalidSpec),
     /// `run_with_streams` was handed an empty stream list.
     EmptyStreams,
     /// The cycle-budget watchdog tripped: a core's issue clock passed the
@@ -66,6 +68,7 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::Config(e) => write!(f, "invalid system configuration: {e}"),
             SimError::UnknownBenchmark(e) => e.fmt(f),
+            SimError::InvalidSpec(e) => write!(f, "invalid benchmark spec: {e}"),
             SimError::EmptyStreams => f.write_str("need at least one miss stream"),
             SimError::WatchdogExpired {
                 budget_cycles,
@@ -108,6 +111,12 @@ impl From<ConfigError> for SimError {
 impl From<UnknownBenchmark> for SimError {
     fn from(e: UnknownBenchmark) -> Self {
         SimError::UnknownBenchmark(e)
+    }
+}
+
+impl From<InvalidSpec> for SimError {
+    fn from(e: InvalidSpec) -> Self {
+        SimError::InvalidSpec(e)
     }
 }
 

@@ -123,9 +123,11 @@ impl<'a> Runner<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::Config`] if the configuration is invalid (see
-    /// [`SystemConfig::validate`]).
+    /// [`SystemConfig::validate`]), or [`SimError::InvalidSpec`] if the
+    /// benchmark cannot drive a generator (see [`BenchSpec::validate`]).
     pub fn new(bench: BenchSpec, config: &'a SystemConfig) -> Result<Self, SimError> {
         config.validate()?;
+        bench.validate()?;
         Ok(Self { bench, config })
     }
 
@@ -621,6 +623,48 @@ mod tests {
         let bench = cameo_workloads::require("astar").expect("suite benchmark");
         let err = Runner::new(bench, &cfg).err().expect("zero scale rejected");
         assert!(err.to_string().contains("scale must be positive"));
+    }
+
+    #[test]
+    fn invalid_spec_is_a_value_not_a_panic() {
+        use cameo_workloads::InvalidSpec;
+        let cfg = quick_config();
+        let gcc = cameo_workloads::require("gcc").expect("suite benchmark");
+        let reject = |edit: fn(&mut BenchSpec)| {
+            let mut bench = gcc;
+            edit(&mut bench);
+            match Runner::new(bench, &cfg) {
+                Err(SimError::InvalidSpec(e)) => e,
+                Err(other) => panic!("wrong error: {other}"),
+                Ok(_) => panic!("invalid spec accepted"),
+            }
+        };
+        // Every gap would be u64::MAX: one instruction, zero reads.
+        assert_eq!(reject(|b| b.mpki = 0.0), InvalidSpec::Mpki(0.0));
+        assert_eq!(
+            reject(|b| b.mpki = 1e-300),
+            InvalidSpec::GapOverflow(1e-300)
+        );
+        // Every gap would be 1: MPKI 1000 in disguise.
+        assert_eq!(reject(|b| b.mpki = -5.0), InvalidSpec::Mpki(-5.0));
+        assert!(matches!(reject(|b| b.mpki = f64::NAN), InvalidSpec::Mpki(m) if m.is_nan()));
+        // `pc_of` would divide by zero.
+        let err = reject(|b| b.behavior.pc_pool = 0);
+        assert!(
+            matches!(
+                err,
+                InvalidSpec::Knob {
+                    name: "pc_pool",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let err = reject(|b| b.behavior.write_fraction = 2.0);
+        assert!(
+            SimError::from(err).to_string().contains("write_fraction"),
+            "{err}"
+        );
     }
 
     #[test]

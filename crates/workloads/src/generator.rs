@@ -37,11 +37,18 @@ pub struct MissEvent {
     pub is_write: bool,
 }
 
+/// Events drawn per [`TraceGenerator::refill`].
+const BLOCK: usize = 16;
+
 /// Deterministic synthetic miss-stream generator for one benchmark copy.
 ///
 /// See the crate docs for the modeled properties. Streams, hot-set reuse
 /// and uniform cold accesses are mixed according to the benchmark's
 /// [`Behavior`](crate::Behavior).
+///
+/// Events are drawn 16 at a time into a ring that
+/// [`TraceGenerator::next_event`] pops; the stream is exactly the one a
+/// generator drawing each event on demand produces.
 ///
 /// # Examples
 ///
@@ -87,7 +94,10 @@ pub struct TraceGenerator {
     hot_window: u64,
     hot_remaining: u64,
     hot_pc: u64,
-    // Running counters for calibration checks.
+    /// Drawn events; `block[next..]` are still to be popped.
+    block: [MissEvent; BLOCK],
+    next: usize,
+    // Running counters for calibration checks, advanced at pop time.
     instructions: u64,
     misses: u64,
 }
@@ -97,9 +107,12 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.scale` is zero, or if the stream, hot-access or write
-    /// probability is outside `[0, 1]`.
+    /// Panics if `cfg.scale` is zero or if `spec` is invalid (see
+    /// [`BenchSpec::validate`]).
     pub fn new(spec: BenchSpec, cfg: TraceConfig) -> Self {
+        if let Err(e) = spec.validate() {
+            panic!("invalid benchmark spec: {e}");
+        }
         let pages = spec.scaled_footprint(cfg.scale).pages().max(1);
         let hot_pages = ((pages as f64 * spec.behavior.hot_fraction) as u64).max(1);
         let used_lines =
@@ -129,6 +142,13 @@ impl TraceGenerator {
             hot_window: 0,
             hot_remaining: 0,
             hot_pc: 0,
+            block: [MissEvent {
+                gap_instructions: 0,
+                line: LineAddr::new(0),
+                pc: 0,
+                is_write: false,
+            }; BLOCK],
+            next: BLOCK,
             instructions: 0,
             misses: 0,
         }
@@ -158,9 +178,45 @@ impl TraceGenerator {
         (self.instructions > 0).then(|| self.misses as f64 * 1000.0 / self.instructions as f64)
     }
 
-    /// Draws the next miss event.
+    /// Pops the next miss event, drawing a new block when the ring is empty.
+    #[inline]
     pub fn next_event(&mut self) -> MissEvent {
-        let gap = self.sample_gap();
+        let i = if self.next < BLOCK {
+            self.next
+        } else {
+            self.refill();
+            0
+        };
+        let event = self.block[i];
+        self.next = i + 1;
+        self.instructions += event.gap_instructions;
+        self.misses += 1;
+        event
+    }
+
+    /// Draws the next [`BLOCK`] events in stream order, then computes
+    /// their gaps in a second pass so the `ln` calls run back to back.
+    ///
+    /// Each event's first draw is its gap's uniform and the gap feeds
+    /// nothing else in the event, so the RNG stream is consumed exactly as
+    /// when every event is drawn whole, one at a time.
+    #[inline(never)]
+    fn refill(&mut self) {
+        let mut uniforms = [0.0f64; BLOCK];
+        for (i, u) in uniforms.iter_mut().enumerate() {
+            *u = self.rng.gen_range(f64::EPSILON..1.0);
+            self.block[i] = self.draw_access();
+        }
+        let mean_gap = self.mean_gap;
+        for (event, u) in self.block.iter_mut().zip(uniforms) {
+            event.gap_instructions = gap_of(mean_gap, u);
+        }
+        self.next = 0;
+    }
+
+    /// Draws an event's access, everything after its gap's uniform; the
+    /// gap is left zero.
+    fn draw_access(&mut self) -> MissEvent {
         let (page, line_in_page, pc) = if chance(&mut self.rng, self.stream_threshold) {
             self.next_stream()
         } else if chance(&mut self.rng, self.hot_threshold) {
@@ -172,20 +228,12 @@ impl TraceGenerator {
         let line = LineAddr::new(
             (self.cfg.core_offset_pages + page) * LINES_PER_PAGE as u64 + line_in_page,
         );
-        self.instructions += gap;
-        self.misses += 1;
         MissEvent {
-            gap_instructions: gap,
+            gap_instructions: 0,
             line,
             pc,
             is_write,
         }
-    }
-
-    /// Geometric inter-miss gap with mean `1000 / MPKI`.
-    fn sample_gap(&mut self) -> u64 {
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        ((-self.mean_gap * u.ln()) as u64).max(1)
     }
 
     fn pc_of(&self, pool_slot: usize) -> u64 {
@@ -276,16 +324,26 @@ impl TraceGenerator {
     }
 }
 
+/// Geometric inter-miss gap with mean `mean_gap` from the uniform
+/// `u ∈ [ε, 1)`.
+#[inline]
+fn gap_of(mean_gap: f64, u: f64) -> u64 {
+    ((-mean_gap * u.ln()) as u64).max(1)
+}
+
+/// The largest gap a generator at `mpki` can draw: the one at `u = ε`,
+/// `(1000 / mpki) · ln(1/ε)` (saturating at `u64::MAX`).
+pub(crate) fn largest_gap(mpki: f64) -> u64 {
+    gap_of(1000.0 / mpki, f64::EPSILON)
+}
+
 /// The integer form of `gen_bool(p)`: the vendored `rand` draws
 /// `k = next_u64() >> 11` and returns `k·2⁻⁵³ < p`. For an integer `k`
 /// that holds exactly when `k < ⌈p·2⁵³⌉`, and `p·2⁵³` is exact in `f64`
 /// (a power-of-two scale), so `k < threshold(p)` is the same decision.
-///
-/// # Panics
-///
-/// Panics unless `0 <= p <= 1`, as `gen_bool` does.
+/// `p` is a knob [`Behavior::validate`](crate::Behavior::validate)
+/// checked to lie in `[0, 1]`, as `gen_bool` asserts.
 fn threshold(p: f64) -> u64 {
-    assert!((0.0..=1.0).contains(&p), "gen_bool: p out of [0, 1]");
     (p * (1u64 << 53) as f64).ceil() as u64
 }
 
@@ -303,8 +361,12 @@ mod tests {
     use std::collections::HashSet;
 
     fn generator(name: &str) -> TraceGenerator {
+        generator_for(by_name(name).unwrap())
+    }
+
+    fn generator_for(spec: BenchSpec) -> TraceGenerator {
         TraceGenerator::new(
-            by_name(name).unwrap(),
+            spec,
             TraceConfig {
                 scale: 64,
                 seed: 7,
@@ -337,6 +399,81 @@ mod tests {
                 assert!((t as f64) * unit >= p, "p = {p}");
             }
         }
+    }
+
+    /// The retired draw-per-call `next_event`: one event's gap uniform,
+    /// its access and its write flag, drawn straight from `g`'s RNG and
+    /// walker state without touching the ring.
+    fn reference_next(g: &mut TraceGenerator) -> MissEvent {
+        let u: f64 = g.rng.gen_range(f64::EPSILON..1.0);
+        let gap = ((-g.mean_gap * u.ln()) as u64).max(1);
+        let (page, line_in_page, pc) = if chance(&mut g.rng, g.stream_threshold) {
+            g.next_stream()
+        } else if chance(&mut g.rng, g.hot_threshold) {
+            g.next_hot()
+        } else {
+            g.next_cold()
+        };
+        let is_write = chance(&mut g.rng, g.write_threshold);
+        MissEvent {
+            gap_instructions: gap,
+            line: LineAddr::new(
+                (g.cfg.core_offset_pages + page) * LINES_PER_PAGE as u64 + line_in_page,
+            ),
+            pc,
+            is_write,
+        }
+    }
+
+    #[test]
+    fn ring_matches_one_event_at_a_time() {
+        for spec in crate::suite() {
+            for seed in [7, 42] {
+                let cfg = TraceConfig {
+                    scale: 64,
+                    seed,
+                    core_offset_pages: 3,
+                };
+                let mut ring = TraceGenerator::new(spec, cfg);
+                let mut reference = TraceGenerator::new(spec, cfg);
+                let (mut instructions, mut misses) = (0u64, 0u64);
+                let mut clone = None;
+                for i in 0..10_000 {
+                    let want = reference_next(&mut reference);
+                    assert_eq!(
+                        ring.next_event(),
+                        want,
+                        "{} seed {seed} event {i}",
+                        spec.name
+                    );
+                    instructions += want.gap_instructions;
+                    misses += 1;
+                    assert_eq!(
+                        ring.observed_mpki(),
+                        Some(misses as f64 * 1000.0 / instructions as f64),
+                        "{} seed {seed} event {i}",
+                        spec.name
+                    );
+                    // Mid-block: 5003 popped events leave 5 of a block queued.
+                    if i == 5_002 {
+                        clone = Some((ring.clone(), reference.clone()));
+                    }
+                }
+                let (mut ring, mut reference) = clone.expect("cloned mid-run");
+                for i in 0..100 {
+                    let want = reference_next(&mut reference);
+                    assert_eq!(ring.next_event(), want, "{} clone event {i}", spec.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid benchmark spec: mpki")]
+    fn invalid_spec_rejected() {
+        let mut spec = by_name("gcc").unwrap();
+        spec.mpki = 0.0;
+        generator_for(spec);
     }
 
     #[test]

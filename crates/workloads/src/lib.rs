@@ -40,7 +40,9 @@ mod generator;
 mod suite;
 
 pub use generator::{MissEvent, TraceConfig, TraceGenerator};
-pub use suite::{by_name, require, suite, Behavior, BenchSpec, Category, UnknownBenchmark};
+pub use suite::{
+    by_name, require, suite, Behavior, BenchSpec, Category, InvalidSpec, UnknownBenchmark,
+};
 
 /// A source of post-L3 miss events — implemented by the synthetic
 /// [`TraceGenerator`] and by recorded-trace replayers (`cameo-trace`), so
@@ -81,6 +83,7 @@ impl<M: MissStream + ?Sized> MissStream for Box<M> {
 }
 
 impl MissStream for TraceGenerator {
+    #[inline]
     fn next_event(&mut self) -> MissEvent {
         TraceGenerator::next_event(self)
     }

@@ -45,24 +45,80 @@ pub struct Behavior {
 impl Behavior {
     /// Checks that all knobs are within their valid ranges.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any probability outside `[0, 1]`, a non-positive page
-    /// density, or an empty PC pool.
-    pub fn validate(&self) {
-        for (name, v) in [
+    /// Returns [`InvalidSpec::Knob`] for a probability outside `[0, 1]`, a
+    /// non-positive page density, or an empty PC pool.
+    pub fn validate(&self) -> Result<(), InvalidSpec> {
+        for (name, value) in [
             ("hot_fraction", self.hot_fraction),
             ("hot_access_prob", self.hot_access_prob),
             ("stream_prob", self.stream_prob),
             ("page_density", self.page_density),
             ("write_fraction", self.write_fraction),
         ] {
-            assert!((0.0..=1.0).contains(&v), "{name} out of [0,1]: {v}");
+            if !(0.0..=1.0).contains(&value) {
+                return Err(InvalidSpec::Knob {
+                    name,
+                    value,
+                    range: "[0, 1]",
+                });
+            }
         }
-        assert!(self.page_density > 0.0, "page_density must be positive");
-        assert!(self.pc_pool > 0, "pc_pool must be non-empty");
+        if self.page_density == 0.0 {
+            return Err(InvalidSpec::Knob {
+                name: "page_density",
+                value: 0.0,
+                range: "(0, 1]",
+            });
+        }
+        if self.pc_pool == 0 {
+            return Err(InvalidSpec::Knob {
+                name: "pc_pool",
+                value: 0.0,
+                range: "at least 1",
+            });
+        }
+        Ok(())
     }
 }
+
+/// Why a [`BenchSpec`] cannot drive a
+/// [`TraceGenerator`](crate::TraceGenerator).
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum InvalidSpec {
+    /// `mpki` is not finite and positive.
+    Mpki(f64),
+    /// `mpki` is so small that the largest inter-miss gap,
+    /// `(1000 / mpki) · ln(1/ε)`, reaches 2^63 instructions.
+    GapOverflow(f64),
+    /// A [`Behavior`] knob lies outside its range.
+    Knob {
+        /// The knob's field name.
+        name: &'static str,
+        /// Its value.
+        value: f64,
+        /// The range it must lie in.
+        range: &'static str,
+    },
+}
+
+impl std::fmt::Display for InvalidSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidSpec::Mpki(mpki) => write!(f, "mpki must be finite and positive, not {mpki}"),
+            InvalidSpec::GapOverflow(mpki) => write!(
+                f,
+                "mpki {mpki} is too small: the largest inter-miss gap reaches 2^63 instructions"
+            ),
+            InvalidSpec::Knob { name, value, range } => {
+                write!(f, "{name} must lie in {range}, not {value}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InvalidSpec {}
 
 /// One benchmark of Table II: measured characteristics plus the locality
 /// model that reproduces them synthetically.
@@ -81,6 +137,23 @@ pub struct BenchSpec {
 }
 
 impl BenchSpec {
+    /// Checks that the spec can drive a generator: `mpki` is finite and
+    /// positive, its largest gap stays below 2^63 instructions, and the
+    /// [`Behavior`] is valid.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`InvalidSpec`] found.
+    pub fn validate(&self) -> Result<(), InvalidSpec> {
+        if !(self.mpki.is_finite() && self.mpki > 0.0) {
+            return Err(InvalidSpec::Mpki(self.mpki));
+        }
+        if crate::generator::largest_gap(self.mpki) >= 1 << 63 {
+            return Err(InvalidSpec::GapOverflow(self.mpki));
+        }
+        self.behavior.validate()
+    }
+
     /// Footprint after dividing by the simulation scale factor.
     ///
     /// # Panics
@@ -458,9 +531,59 @@ mod tests {
     #[test]
     fn behaviors_valid() {
         for b in suite() {
-            b.behavior.validate();
+            assert_eq!(b.validate(), Ok(()), "{}", b.name);
             assert!(b.mpki > 1.0, "{} below the MPKI>1 cut", b.name);
         }
+    }
+
+    #[test]
+    fn invalid_mpki_rejected() {
+        let spec = |mpki| BenchSpec {
+            mpki,
+            ..by_name("gcc").unwrap()
+        };
+        for mpki in [0.0, -0.0, -3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(spec(mpki).validate(), Err(InvalidSpec::Mpki(_))),
+                "mpki {mpki}"
+            );
+        }
+        assert_eq!(
+            spec(1e-300).validate(),
+            Err(InvalidSpec::GapOverflow(1e-300))
+        );
+        // The bound sits where the largest gap, 1000/mpki · 52·ln 2,
+        // crosses 2^63: about 3.9e-15 MPKI.
+        assert_eq!(
+            spec(3.8e-15).validate(),
+            Err(InvalidSpec::GapOverflow(3.8e-15))
+        );
+        assert_eq!(spec(4.0e-15).validate(), Ok(()));
+        assert_eq!(spec(1e300).validate(), Ok(()));
+    }
+
+    #[test]
+    fn invalid_knobs_rejected() {
+        let gcc = by_name("gcc").unwrap();
+        let with = |edit: fn(&mut Behavior)| {
+            let mut spec = gcc;
+            edit(&mut spec.behavior);
+            spec.validate()
+        };
+        let knob = |r: Result<(), InvalidSpec>| match r {
+            Err(InvalidSpec::Knob { name, .. }) => Some(name),
+            _ => None,
+        };
+        assert_eq!(knob(with(|b| b.pc_pool = 0)), Some("pc_pool"));
+        assert_eq!(knob(with(|b| b.page_density = 0.0)), Some("page_density"));
+        assert_eq!(knob(with(|b| b.stream_prob = 1.5)), Some("stream_prob"));
+        assert_eq!(
+            knob(with(|b| b.write_fraction = f64::NAN)),
+            Some("write_fraction")
+        );
+        assert_eq!(knob(with(|b| b.hot_fraction = -0.1)), Some("hot_fraction"));
+        let msg = with(|b| b.pc_pool = 0).unwrap_err().to_string();
+        assert!(msg.contains("pc_pool"), "{msg}");
     }
 
     #[test]

@@ -29,7 +29,9 @@ fn main() {
             pc_pool: 96,
         },
     };
-    kv_store.behavior.validate();
+    kv_store
+        .validate()
+        .expect("the kvstore spec's knobs are in range");
 
     let config = SystemConfig {
         cores: 8,
