@@ -23,7 +23,10 @@ use cameo_sim::trace::TraceOptions;
 
 /// Formats an optional byte gauge as MiB for the ladder table.
 fn mib(bytes: Option<u64>) -> String {
-    bytes.map_or_else(|| "n/a".to_owned(), |b| format!("{:.1}", b as f64 / (1024.0 * 1024.0)))
+    bytes.map_or_else(
+        || "n/a".to_owned(),
+        |b| format!("{:.1}", b as f64 / (1024.0 * 1024.0)),
+    )
 }
 
 fn main() {
@@ -31,7 +34,9 @@ fn main() {
     print_header("Extension — full-scale ladder (fig13 micro-slice)", &cli);
     let kinds = fullscale::kinds();
     let rungs = fullscale::ladder(cli.config.scale);
-    let deepest = *rungs.last().expect("the ladder always ends at the requested scale");
+    let deepest = *rungs
+        .last()
+        .expect("the ladder always ends at the requested scale");
 
     let mut ladder_table = Table::new(vec![
         "scale".to_owned(),

@@ -42,11 +42,24 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map_or(default, |v| v.parse().unwrap_or(default))
+/// The argument after flag `name` in `args`, `None` when the flag is
+/// absent. A flag without a value is an error, never the default.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).ok_or(format!("{name} needs a value"))?;
+    Ok(Some(value))
+}
+
+/// The unsigned integer value of flag `name` in `args`, or `default` when
+/// the flag is absent. A value that does not parse is an error.
+fn flag(args: &[String], name: &str, default: u64) -> Result<u64, String> {
+    flag_value(args, name)?.map_or(Ok(default), |value| {
+        value
+            .parse()
+            .map_err(|_| format!("{name} {value}: not an unsigned integer"))
+    })
 }
 
 fn record(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -55,9 +68,15 @@ fn record(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         _ => return Err("record needs <bench> <out-file>".into()),
     };
     let spec = require(&name)?;
-    let events = flag(args, "--events", 100_000);
-    let scale = flag(args, "--scale", 128);
-    let seed = flag(args, "--seed", 42);
+    let events = flag(args, "--events", 100_000)?;
+    let scale = flag(args, "--scale", 128)?;
+    let seed = flag(args, "--seed", 42)?;
+    if scale == 0 {
+        return Err("--scale 0: the scale factor must be at least 1".into());
+    }
+    if events == 0 {
+        return Err("--events 0: a trace needs at least one event to replay".into());
+    }
     let mut generator = TraceGenerator::new(
         spec,
         TraceConfig {
@@ -97,12 +116,7 @@ fn info(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let path = args.first().ok_or("replay needs <file>")?;
-    let kind = match args
-        .iter()
-        .position(|a| a == "--org")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    let kind = match flag_value(args, "--org")? {
         None | Some("cameo") => OrgKind::cameo_default(),
         Some("cache") => OrgKind::AlloyCache,
         Some("baseline") => OrgKind::Baseline,
@@ -129,4 +143,43 @@ fn replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         stats.faults,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_parse_or_fail_loudly() {
+        assert_eq!(flag(&args("mcf out"), "--events", 7), Ok(7));
+        assert_eq!(
+            flag(&args("mcf out --events 1000"), "--events", 7),
+            Ok(1000)
+        );
+        for bad in ["1e3", "-5", "ten", ""] {
+            let line = format!("mcf out --events {bad}");
+            assert!(flag(&args(&line), "--events", 7).is_err(), "{line}");
+        }
+        assert_eq!(
+            flag_value(&args("t --org cache"), "--org"),
+            Ok(Some("cache"))
+        );
+        assert_eq!(flag_value(&args("t"), "--org"), Ok(None));
+        assert!(flag_value(&args("t --org"), "--org").is_err());
+    }
+
+    #[test]
+    fn zero_scale_or_events_is_an_error_not_a_panic() {
+        for flag in ["--scale", "--events"] {
+            // A directory that does not exist: should the check regress,
+            // creating the output file fails instead of writing one.
+            let line = format!("mcf no-such-dir/never-written.cameotrace {flag} 0");
+            let err = record(&args(&line)).unwrap_err();
+            assert!(err.to_string().contains(&format!("{flag} 0")), "{err}");
+        }
+    }
 }

@@ -83,10 +83,11 @@ pub fn sweep_points(benches: &[BenchSpec], designs: &[DesignPoint]) -> Vec<Sweep
                 .with_key(format!("{}::#base", bench.name)),
         );
         for design in designs {
-            points.push(
-                SweepPoint::new(bench.name, design.kind)
-                    .with_key(format!("{}::{}", bench.name, design.label())),
-            );
+            points.push(SweepPoint::new(bench.name, design.kind).with_key(format!(
+                "{}::{}",
+                bench.name,
+                design.label()
+            )));
         }
     }
     points
@@ -305,10 +306,7 @@ mod tests {
     fn device_recovers_from_keys() {
         assert_eq!(device_of_key("mcf::CAMEO@tldram"), DeviceKind::TlDram);
         assert_eq!(device_of_key("mcf::MemCache@50@flat"), DeviceKind::Flat);
-        assert_eq!(
-            device_of_key("mcf::MemCache@75@tldram"),
-            DeviceKind::TlDram
-        );
+        assert_eq!(device_of_key("mcf::MemCache@75@tldram"), DeviceKind::TlDram);
         assert_eq!(device_of_key("mcf::#base"), DeviceKind::Flat);
     }
 

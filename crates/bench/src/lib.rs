@@ -36,6 +36,7 @@ use cameo_sim::trace::TraceOptions;
 use cameo_sim::{RunStats, SystemConfig};
 use cameo_workloads::{suite, BenchSpec, Category};
 
+pub mod ablations;
 pub mod designs;
 pub mod fullscale;
 pub mod trace_export;

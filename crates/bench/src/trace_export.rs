@@ -159,7 +159,11 @@ pub fn epoch_spill_writer(
     Ok(Box::new(move |index, c: &EpochCounters| {
         // Spills are rare (one per epoch beyond the cap); flushing each
         // line keeps the file whole no matter when the run dies.
-        let _ = writeln!(file, "{}", epoch_line(&key, index, epoch_cycles, c).render());
+        let _ = writeln!(
+            file,
+            "{}",
+            epoch_line(&key, index, epoch_cycles, c).render()
+        );
         let _ = file.flush();
     }))
 }

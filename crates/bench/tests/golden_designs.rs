@@ -55,8 +55,13 @@ fn run_design_sweep(opts: &SweepOptions) -> SweepReport {
     run_sweep_traced_with(&design_points(), opts, None, &|point, config| {
         let bench = cameo_workloads::require(&point.bench).expect("suite benchmark");
         let sink = SharedSink::new(TraceOptions::default());
-        let org =
-            build_org_traced_on(&bench, point.kind, device_of_key(&point.key), config, sink.clone());
+        let org = build_org_traced_on(
+            &bench,
+            point.kind,
+            device_of_key(&point.key),
+            config,
+            sink.clone(),
+        );
         (org, Some(sink))
     })
     .expect("mcf resolves and the micro config is valid")

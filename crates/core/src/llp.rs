@@ -368,7 +368,10 @@ mod tests {
         assert_eq!(LineLocationPredictor::for_ratio(8, 256, 5).llr_bits(), 4);
         assert_eq!(LineLocationPredictor::new(8, 256).llr_bits(), 4);
         // The paper-model gauge is width-independent: 2 bits per LLR.
-        assert_eq!(LineLocationPredictor::for_ratio(8, 256, 4).storage_bytes(), 512);
+        assert_eq!(
+            LineLocationPredictor::for_ratio(8, 256, 4).storage_bytes(),
+            512
+        );
     }
 
     #[test]

@@ -289,7 +289,12 @@ impl LineLocationTable {
         debug_assert_eq!(decode[0], LltEntry::identity(ratio).packed_bits());
         let bits = map.groups() * u64::from(index_bits);
         // Identity is index 0, so the zeroed store *is* the initial state.
-        let store = vec![0u64; usize::try_from(bits.div_ceil(64) + 1).expect("the group count was validated to fit host memory at construction")];
+        let store = vec![
+            0u64;
+            usize::try_from(bits.div_ceil(64) + 1).expect(
+                "the group count was validated to fit host memory at construction"
+            )
+        ];
         Self {
             map,
             store,
@@ -320,7 +325,8 @@ impl LineLocationTable {
     fn read_index(&self, group: u64) -> u32 {
         let bits = u64::from(self.index_bits);
         let pos = group * bits;
-        let word = usize::try_from(pos >> 6).expect("bit positions stay within the store sized for every group");
+        let word = usize::try_from(pos >> 6)
+            .expect("bit positions stay within the store sized for every group");
         let shift = (pos & 63) as u32;
         let mask = (1u64 << bits) - 1;
         let mut v = self.store[word] >> shift;
@@ -336,11 +342,11 @@ impl LineLocationTable {
     fn write_index(&mut self, group: u64, index: u32) {
         let bits = u64::from(self.index_bits);
         let pos = group * bits;
-        let word = usize::try_from(pos >> 6).expect("bit positions stay within the store sized for every group");
+        let word = usize::try_from(pos >> 6)
+            .expect("bit positions stay within the store sized for every group");
         let shift = (pos & 63) as u32;
         let mask = (1u64 << bits) - 1;
-        self.store[word] =
-            (self.store[word] & !(mask << shift)) | (u64::from(index) << shift);
+        self.store[word] = (self.store[word] & !(mask << shift)) | (u64::from(index) << shift);
         if u64::from(shift) + bits > 64 {
             let spill = 64 - shift;
             self.store[word + 1] =
@@ -583,7 +589,15 @@ mod tests {
 
     #[test]
     fn index_width_matches_group_factorial() {
-        let widths = [(2u8, 1u8), (3, 3), (4, 5), (5, 7), (6, 10), (7, 13), (8, 16)];
+        let widths = [
+            (2u8, 1u8),
+            (3, 3),
+            (4, 5),
+            (5, 7),
+            (6, 10),
+            (7, 13),
+            (8, 16),
+        ];
         for (ratio, bits) in widths {
             assert_eq!(lehmer_bits(ratio), bits, "ratio {ratio}");
         }
@@ -595,7 +609,10 @@ mod tests {
         // (+ guard) against 16 KiB of packed nibbles before the recode.
         let llt = LineLocationTable::new(CongruenceMap::new(4096, 4));
         assert_eq!(llt.index_bits(), 5);
-        assert_eq!(llt.host_resident_bytes(), (4096 * 5u64).div_ceil(64) * 8 + 8);
+        assert_eq!(
+            llt.host_resident_bytes(),
+            (4096 * 5u64).div_ceil(64) * 8 + 8
+        );
         assert!(llt.host_resident_bytes() < 4096 * 4 / 2);
         // The paper-model gauge is unchanged: one byte per group.
         assert_eq!(llt.storage_bytes(), 4096);

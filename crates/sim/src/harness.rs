@@ -388,6 +388,9 @@ fn run_sweep_inner(
     let checkpoint_failure: Mutex<Option<SimError>> = Mutex::new(None);
     crate::pool::for_each(opts.jobs.max(1), pending.len(), |n, cancel| {
         let point = &points[pending[n]];
+        // Per-point wall-time metric: recorded as `wall_nanos` alongside
+        // the deterministic `PointRecord`, excluded from golden
+        // comparisons. lint: allow(wall-clock)
         let point_start = Instant::now();
         // A point the checkpoint parks (a dangling in-flight marker,
         // whether left by a kill or forged into the file) re-runs from

@@ -184,7 +184,9 @@ impl<S: TraceSink> MemCacheOrg<S> {
     ) -> (Cycle, ServiceLocation) {
         let route = self.predictor.predict(access.core, access.pc);
         let set = self.directory.set_of(off_line);
-        let probe_done = self.stacked.access(now, self.set_line(set), false, TAD_BYTES);
+        let probe_done = self
+            .stacked
+            .access(now, self.set_line(set), false, TAD_BYTES);
         let hit = self.directory.probe(off_line);
         self.predictor
             .train_traced(access.core, access.pc, hit, now, &mut self.sink);
@@ -209,7 +211,8 @@ impl<S: TraceSink> MemCacheOrg<S> {
                 self.off_chip.write_line(now, victim.line.raw());
             }
         }
-        self.stacked.access(now, self.set_line(set), true, TAD_BYTES);
+        self.stacked
+            .access(now, self.set_line(set), true, TAD_BYTES);
         (fetch_done, ServiceLocation::OffChip)
     }
 
@@ -217,7 +220,9 @@ impl<S: TraceSink> MemCacheOrg<S> {
     /// copy, write-miss goes straight to memory (write-no-allocate).
     fn cached_write(&mut self, now: Cycle, off_line: LineAddr) -> (Cycle, ServiceLocation) {
         let set = self.directory.set_of(off_line);
-        let probe_done = self.stacked.access(now, self.set_line(set), false, TAD_BYTES);
+        let probe_done = self
+            .stacked
+            .access(now, self.set_line(set), false, TAD_BYTES);
         if self.directory.probe(off_line) {
             self.directory.mark_dirty(off_line);
             let done = self

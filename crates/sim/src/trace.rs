@@ -521,8 +521,7 @@ mod tests {
         series.record(Cycle::new(350), &TraceEvent::Swap { group: 2 });
         assert_eq!(series.epoch_count(), 4);
         assert_eq!(series.spilled_epochs(), 0);
-        let retained: Vec<(u64, EpochCounters)> =
-            series.retained().map(|(i, c)| (i, *c)).collect();
+        let retained: Vec<(u64, EpochCounters)> = series.retained().map(|(i, c)| (i, *c)).collect();
         assert_eq!(retained.len(), 4);
         assert_eq!(retained[0].0, 0);
         assert_eq!(retained[0].1.swaps, 1);
@@ -546,7 +545,10 @@ mod tests {
         }
         assert_eq!(series.epoch_count(), 10);
         assert_eq!(series.spilled_epochs(), 6);
-        assert_eq!(spilled, vec![(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]);
+        assert_eq!(
+            spilled,
+            vec![(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]
+        );
         assert_eq!(series.spilled_totals().swaps, 6);
         assert_eq!(series.totals().swaps, 10);
         let retained: Vec<u64> = series.retained().map(|(i, _)| i).collect();

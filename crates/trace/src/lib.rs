@@ -11,6 +11,10 @@
 //! events:  gap u32 LE | line u64 LE | pc u64 LE | flags u8   (21 bytes each)
 //! ```
 //!
+//! Every gap is at least one instruction: a replay advances the core by
+//! the gap, so a zero gap would never let a run reach its instruction
+//! budget. The writer refuses one and the reader rejects one.
+//!
 //! [`TraceWriter`] records any [`MissStream`] (or individual events);
 //! [`TraceFile`] loads a recording and replays it as a `MissStream` again —
 //! wrapping around at the end so the runner can draw as many events as it
@@ -49,6 +53,7 @@ use cameo_workloads::{MissEvent, MissStream};
 const MAGIC: &[u8; 8] = b"CAMEOTR1";
 const EVENT_BYTES: usize = 21;
 const FLAG_WRITE: u8 = 1;
+const ZERO_GAP: &str = "zero instruction gap";
 
 /// Errors raised while reading or writing trace files.
 #[derive(Debug)]
@@ -133,11 +138,14 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns an error on I/O failure or when more events are pushed than
-    /// the header declared.
+    /// Returns an error on I/O failure, when more events are pushed than
+    /// the header declared, or for a zero instruction gap.
     pub fn push(&mut self, event: &MissEvent) -> Result<(), TraceError> {
         if self.events_written >= self.declared_events {
             return Err(TraceError::Malformed("more events than declared"));
+        }
+        if event.gap_instructions == 0 {
+            return Err(TraceError::Malformed(ZERO_GAP));
         }
         let gap = u32::try_from(event.gap_instructions).unwrap_or(u32::MAX);
         self.sink.write_all(&gap.to_le_bytes())?;
@@ -199,8 +207,8 @@ impl TraceFile {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] on I/O failure, bad magic, truncation, or an
-    /// empty recording.
+    /// Returns [`TraceError`] on I/O failure, bad magic, truncation, a
+    /// zero instruction gap, or an empty recording.
     pub fn read<R: Read>(mut source: R) -> Result<Self, TraceError> {
         let mut magic = [0u8; 8];
         source.read_exact(&mut magic)?;
@@ -229,6 +237,9 @@ impl TraceFile {
                 .read_exact(&mut record)
                 .map_err(|_| TraceError::Malformed("event section truncated"))?;
             let gap = u32::from_le_bytes(record[0..4].try_into().expect("slice"));
+            if gap == 0 {
+                return Err(TraceError::Malformed(ZERO_GAP));
+            }
             let line = u64::from_le_bytes(record[4..12].try_into().expect("slice"));
             let pc = u64::from_le_bytes(record[12..20].try_into().expect("slice"));
             let flags = record[20];
@@ -394,6 +405,38 @@ mod tests {
         let mut g = generator();
         writer.push(&g.next_event()).unwrap();
         assert!(writer.push(&g.next_event()).is_err());
+    }
+
+    #[test]
+    fn zero_gap_is_refused_and_rejected() {
+        let mut event = generator().next_event();
+        event.gap_instructions = 0;
+        let mut writer = TraceWriter::new(Vec::new(), "mcf", 1, 1).unwrap();
+        let err = writer.push(&event).unwrap_err();
+        assert!(matches!(err, TraceError::Malformed(ZERO_GAP)), "{err}");
+
+        // The same event written by hand: a replay of it would never
+        // advance the core's instruction count.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.push(3);
+        bytes.extend_from_slice(b"mcf");
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&event.line.raw().to_le_bytes());
+        bytes.extend_from_slice(&event.pc.to_le_bytes());
+        bytes.push(0);
+        let err = TraceFile::parse(&bytes).unwrap_err();
+        assert!(matches!(err, TraceError::Malformed(ZERO_GAP)), "{err}");
+
+        // A one-instruction gap in the same file is a valid trace.
+        let gap_at = bytes.len() - EVENT_BYTES;
+        bytes[gap_at] = 1;
+        assert_eq!(
+            TraceFile::parse(&bytes).unwrap().events[0].gap_instructions,
+            1
+        );
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Workspace walking, parallel scanning, and pass dispatch for
-//! `cargo xtask lint`.
+//! Workspace walking, scanning, and pass dispatch for `cargo xtask lint`.
 //!
 //! The engine lints `src/` trees only: `crates/<name>/src/**/*.rs` plus the
 //! root package's `src/**/*.rs`. Integration tests, benches, examples, and
@@ -9,18 +8,12 @@
 //! the root package manifest) are additionally parsed for the layering
 //! pass.
 //!
-//! The scan is the only I/O-bound stage, so it fans out over scoped
-//! worker threads: workers claim file indexes from an atomic cursor and
-//! write [`FileFacts`] into per-index slots. Output is deterministic at
-//! any thread count because ordering comes from the slot index, never
-//! from completion order — a single sorted file list is built up front,
-//! and diagnostics are sorted by (path, line, rule) at the end.
+//! Output is deterministic: files are scanned in one sorted list, and
+//! diagnostics are sorted by (path, line, rule) at the end.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::model::{self, FileFacts, WorkspaceModel};
 use crate::passes::{concurrency, determinism, layering};
@@ -34,30 +27,6 @@ pub const HOT_PATH_CRATES: [&str; 4] = ["core", "sim", "memsim", "cachesim"];
 /// address layer everything else must go through.
 pub const ADDR_EXEMPT_CRATE: &str = "types";
 
-/// Engine knobs. `jobs` is the scan worker count; diagnostics are
-/// identical at any value.
-#[derive(Debug, Clone)]
-pub struct LintOptions {
-    /// Number of scan workers (clamped to at least 1).
-    pub jobs: usize,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            jobs: default_jobs(),
-        }
-    }
-}
-
-/// Default scan parallelism: available cores, capped at 8 (the scan is
-/// cheap enough that more workers only add contention).
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(8)
-}
-
 /// The [`FileClass`] for files of crate `name` (`""` = root package).
 fn class_for(name: &str) -> FileClass {
     FileClass {
@@ -66,18 +35,21 @@ fn class_for(name: &str) -> FileClass {
     }
 }
 
-/// Lints every in-scope source file under `root` with default options,
-/// returning diagnostics in deterministic (path, line, rule) order.
+/// Lints every in-scope source file under `root`, returning diagnostics
+/// in deterministic (path, line, rule) order.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    Ok(lint_model(&scan_workspace(root, &LintOptions::default())?))
+    Ok(lint_model(&scan_workspace(root)?))
 }
 
 /// Scans every in-scope source file and manifest under `root` into the
 /// cross-file model the passes read.
-pub fn scan_workspace(root: &Path, opts: &LintOptions) -> io::Result<WorkspaceModel> {
-    let files = workspace_files(root)?;
+pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceModel> {
+    let files = workspace_files(root)?
+        .iter()
+        .map(|(path, crate_dir, class)| scan_one(root, path, crate_dir, *class))
+        .collect::<io::Result<_>>()?;
     Ok(WorkspaceModel {
-        files: scan_files(root, &files, opts.jobs.max(1))?,
+        files,
         manifests: model::load_manifests(root),
     })
 }
@@ -119,55 +91,6 @@ fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, String, FileClass)>>
     }
     files.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(files)
-}
-
-/// Reads, scans, and extracts facts for every file, fanning out over
-/// `jobs` scoped workers. Slot-indexed results keep the output order
-/// equal to the input order regardless of scheduling.
-fn scan_files(
-    root: &Path,
-    files: &[(PathBuf, String, FileClass)],
-    jobs: usize,
-) -> io::Result<Vec<FileFacts>> {
-    let slots: Vec<Mutex<Option<io::Result<FileFacts>>>> =
-        files.iter().map(|_| Mutex::new(None)).collect();
-    let workers = jobs.min(files.len()).max(1);
-    // Work-claim protocol (registered in the atomic protocol table):
-    // `fetch_add` hands each worker a unique index; no memory ordering
-    // beyond the claim itself is needed because results flow through the
-    // per-slot mutexes and the scope join.
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            let next = &next;
-            std::thread::Builder::new()
-                .name(format!("xtask-scan-{w}"))
-                .spawn_scoped(scope, move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= files.len() {
-                        break;
-                    }
-                    let (path, crate_dir, class) = &files[i];
-                    let result = scan_one(root, path, crate_dir, *class);
-                    let mut slot = match slots[i].lock() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    *slot = Some(result);
-                })
-                .expect("spawning a scan worker thread succeeds");
-        }
-    });
-    let mut facts = Vec::with_capacity(files.len());
-    for slot in slots {
-        let cell = match slot.into_inner() {
-            Ok(cell) => cell,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        facts.push(cell.expect("the claim cursor visits every slot in 0..len")?);
-    }
-    Ok(facts)
 }
 
 /// Scans a single file into [`FileFacts`] with a workspace-relative
@@ -214,7 +137,6 @@ fn read_sorted(dir: &Path) -> io::Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{self, Baseline};
     use std::collections::{BTreeMap, BTreeSet};
 
     fn xtask_dir() -> PathBuf {
@@ -332,86 +254,26 @@ mod tests {
         }
     }
 
-    /// The real workspace must lint *exactly to the baseline* — no fresh
-    /// findings, no stale accepted entries, no atomic-protocol table
-    /// entry without a site. This makes `cargo test` enforce the
-    /// deny-by-default gate even where CI scripts are not used.
+    /// The real workspace must lint clean — no finding, no
+    /// atomic-protocol table entry without a site. This makes `cargo test`
+    /// enforce the lint gate even where CI scripts are not used.
     #[test]
-    fn workspace_findings_match_baseline() {
-        let root = workspace_root();
-        let model =
-            scan_workspace(&root, &LintOptions::default()).expect("workspace sources are readable");
+    fn workspace_lints_clean() {
+        let model = scan_workspace(&workspace_root()).expect("workspace sources are readable");
         let unmatched = concurrency::unmatched_entries(&model);
         assert!(
             unmatched.is_empty(),
             "ATOMIC_PROTOCOL_TABLE entries match no site:\n{unmatched:?}"
         );
         let diags = lint_model(&model);
-        let baseline =
-            Baseline::load(&root.join(baseline::BASELINE_FILE)).expect("lint-baseline.json parses");
-        let check = baseline.check(&diags);
         assert!(
-            check.fresh.is_empty(),
-            "workspace has findings not in lint-baseline.json:\n{}",
-            check
-                .fresh
+            diags.is_empty(),
+            "workspace has lint findings:\n{}",
+            diags
                 .iter()
                 .map(std::string::ToString::to_string)
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert!(
-            check.stale.is_empty(),
-            "lint-baseline.json has stale entries (regenerate with \
-             `cargo xtask lint --update-baseline`):\n{:?}",
-            check.stale
-        );
-    }
-
-    /// The scan fans out over worker threads, but diagnostics must be
-    /// byte-identical at any thread count.
-    #[test]
-    fn parallel_scan_is_deterministic() {
-        let root = xtask_dir().join("fixtures");
-        let render = |jobs: usize| {
-            lint_model(
-                &scan_workspace(&root, &LintOptions { jobs }).expect("fixture tree is readable"),
-            )
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-        };
-        let serial = render(1);
-        for jobs in [2, 4, 13] {
-            assert_eq!(render(jobs), serial, "jobs={jobs} diverged from jobs=1");
-        }
-    }
-
-    /// The checked-in baseline is in canonical form: parse → render is
-    /// byte-identical to the file on disk.
-    #[test]
-    fn checked_in_baseline_is_canonical() {
-        let path = workspace_root().join(baseline::BASELINE_FILE);
-        let text = std::fs::read_to_string(&path).expect("lint-baseline.json exists");
-        let parsed = Baseline::parse(&text).expect("lint-baseline.json parses");
-        assert_eq!(
-            parsed.render(),
-            text,
-            "lint-baseline.json is not canonical; regenerate with \
-             `cargo xtask lint --update-baseline`"
-        );
-    }
-
-    /// The `--json` document produced for the fixture findings validates
-    /// against the `cameo-lint/1` schema.
-    #[test]
-    fn fixture_findings_validate_as_cameo_lint_json() {
-        let root = xtask_dir().join("fixtures");
-        let diags = lint_workspace(&root).expect("fixture tree is readable");
-        let check = Baseline::default().check(&diags);
-        let text = baseline::render_findings(&check);
-        let n = baseline::validate_findings(&text).expect("document validates");
-        assert_eq!(n, diags.len());
     }
 }

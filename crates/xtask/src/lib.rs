@@ -7,15 +7,13 @@
 //! coverage, thread-creation and trace-printing discipline; the semantic
 //! passes ([`passes`]) read a shared cross-file model ([`model`]) to
 //! check run-to-run determinism, the atomic-ordering protocol table, and
-//! the crate-layering DAG. Findings are gated against a checked-in
-//! baseline ([`baseline`]) — deny-by-default in both directions. Run it
-//! as
+//! the crate-layering DAG. Every finding fails the lint; the only way to
+//! accept one is an in-place `// lint: allow(<rule>)` carrying its
+//! reason. Run it as
 //!
 //! ```text
-//! cargo xtask lint                    # gate findings against the baseline
-//! cargo xtask lint --json             # emit the cameo-lint/1 document
-//! cargo xtask lint --fixtures         # lint the seeded fixtures (exits 1)
-//! cargo xtask lint --update-baseline  # regenerate lint-baseline.json
+//! cargo xtask lint             # lint the workspace (exits 1 on findings)
+//! cargo xtask lint --fixtures  # lint the seeded fixtures (exits 1)
 //! ```
 //!
 //! The `xtask` alias lives in `.cargo/config.toml`. See `rules` for the
@@ -24,9 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod engine;
-pub mod json;
 pub mod model;
 pub mod passes;
 pub mod rules;

@@ -77,14 +77,6 @@ pub const ATOMIC_PROTOCOL_TABLE: &[AtomicUse] = &[
               no other memory is published through it, because results flow \
               through per-point mutex cells and the `thread::scope` join",
     },
-    AtomicUse {
-        file: "crates/xtask/src/engine.rs",
-        receiver: "next",
-        method: "fetch_add",
-        orderings: &["Relaxed"],
-        why: "scan-claim cursor: same protocol as the sweep pool — file slots \
-              are disjoint and publication is the `thread::scope` join",
-    },
 ];
 
 /// Atomic method names, longest-first so substrings never shadow.
@@ -240,10 +232,10 @@ fn entry_matches(
     })
 }
 
-/// Protocol-table entries that no non-test site in `model` matches — the
-/// table's counterpart of a stale baseline entry. Only meaningful against
-/// the real workspace (the fixture tree holds a few of the sites), so the
-/// CLI and the baseline self-test check it there.
+/// Protocol-table entries that no non-test site in `model` matches: the
+/// table would document a protocol the code has dropped. Only meaningful
+/// against the real workspace (the fixture tree holds a few of the
+/// sites), so the CLI and the workspace self-test check it there.
 pub fn unmatched_entries(model: &WorkspaceModel) -> Vec<&'static AtomicUse> {
     let mut matched = [false; ATOMIC_PROTOCOL_TABLE.len()];
     for file in &model.files {
@@ -369,19 +361,16 @@ mod tests {
 
     #[test]
     fn table_entry_without_a_matching_site_is_unmatched() {
-        let engine = "fn scan() { let i = next.fetch_add(1, Ordering::Relaxed); }";
-        let all = model_of(&[
-            ("crates/sim/src/pool.rs", POOL_SITES),
-            ("crates/xtask/src/engine.rs", engine),
-        ]);
+        let all = model_of(&[("crates/sim/src/pool.rs", POOL_SITES)]);
         assert!(unmatched_entries(&all).is_empty());
 
         // Dropping the cursor from the pool leaves its entry behind; the
         // same site in a test module or another file does not match it.
         let pool_without_cursor = "fn f(&self) {\n self.flag.store(true, Ordering::Release);\n let c = self.flag.load(Ordering::Acquire);\n}\n#[cfg(test)]\nmod tests {\n fn t() { next.fetch_add(1, Ordering::Relaxed); }\n}";
+        let cursor_elsewhere = "fn scan() { let i = next.fetch_add(1, Ordering::Relaxed); }";
         let stale = model_of(&[
             ("crates/sim/src/pool.rs", pool_without_cursor),
-            ("crates/xtask/src/engine.rs", engine),
+            ("crates/sim/src/harness.rs", cursor_elsewhere),
         ]);
         let unmatched = unmatched_entries(&stale);
         assert_eq!(unmatched.len(), 1);
@@ -396,8 +385,12 @@ mod tests {
         // A file the table names but the tree lacks leaves every one of
         // its entries unmatched.
         assert_eq!(
-            unmatched_entries(&model_of(&[("crates/sim/src/pool.rs", POOL_SITES)])).len(),
-            1
+            unmatched_entries(&model_of(&[(
+                "crates/sim/src/harness.rs",
+                cursor_elsewhere
+            )]))
+            .len(),
+            ATOMIC_PROTOCOL_TABLE.len()
         );
     }
 

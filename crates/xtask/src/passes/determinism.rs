@@ -13,7 +13,7 @@
 //!   `SystemTime::now`). Wall-clock values are inherently
 //!   non-reproducible and must stay out of report equality (`wall_nanos`
 //!   is excluded from `PartialEq`), so every read needs an in-source
-//!   justification or a baseline entry.
+//!   `// lint: allow(wall-clock)` with its justification.
 //! * `unordered-iter` — iterating a default-hasher map in the
 //!   report-producing crates (`sim`, `bench`), where element order can
 //!   reach a `SweepReport`, a printed table, or a checkpoint. The pass
