@@ -1,8 +1,8 @@
 //! Diagnostic dump: per-benchmark, per-organization service rates, CPI,
 //! fault rates and bandwidth — the calibration instrument.
 
-use cameo_bench::{print_header, Cli};
-use cameo_sim::experiments::{run_benchmark, OrgKind};
+use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_sim::experiments::OrgKind;
 use cameo_sim::report::Table;
 
 fn main() {
@@ -16,6 +16,7 @@ fn main() {
         OrgKind::cameo_default(),
         OrgKind::DoubleUse,
     ];
+    let grid = SpeedupGrid::collect(&kinds, &cli);
     let mut table = Table::new(vec![
         "bench",
         "org",
@@ -31,16 +32,14 @@ fn main() {
         "storMB",
         "acc%",
     ]);
-    for bench in &cli.benches {
-        let base = run_benchmark(bench, OrgKind::Baseline, &cli.config);
-        for kind in kinds {
-            eprintln!("[run] {} {}", bench.name, kind.label());
-            let s = run_benchmark(bench, kind, &cli.config);
+    for bench in &grid.order {
+        let base = &grid.baselines[bench.name];
+        for (kind, s) in kinds.iter().zip(&grid.runs[bench.name]) {
             table.row(vec![
                 bench.name.to_owned(),
                 kind.label().to_owned(),
                 format!("{:.2}", s.cpi()),
-                format!("{:.2}x", s.speedup_over(&base)),
+                format!("{:.2}x", s.speedup_over(base)),
                 s.demand_reads.to_string(),
                 format!("{:.0}", s.stacked_service_rate().unwrap_or(0.0) * 100.0),
                 format!("{:.0}", s.avg_read_latency().unwrap_or(0.0)),
@@ -59,4 +58,5 @@ fn main() {
         }
     }
     cli.emit(&table);
+    cli.emit_trace("diag", &grid.report);
 }

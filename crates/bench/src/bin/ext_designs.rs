@@ -11,20 +11,19 @@
 //! off-chip baseline — which design wins, and whether tiering the
 //! stacked die reorders the podium.
 
-use cameo_bench::designs::{designs, DesignGrid};
-use cameo_bench::{print_header, Cli};
+use cameo_bench::designs::{self, designs};
+use cameo_bench::{print_header, Cli, SpeedupGrid};
 
 fn main() {
     let cli = Cli::parse();
     print_header("Extension — design comparison (org x device)", &cli);
-    let matrix = designs();
-    let grid = DesignGrid::collect(&matrix, &cli);
+    let grid = SpeedupGrid::collect(&designs(), &cli);
     println!("Design matrix — speedup over flat off-chip baseline\n");
-    cli.emit(&grid.speedup_table());
+    cli.emit(&designs::speedup_table(&grid));
     println!("\nRanked by Gmean ALL\n");
-    cli.emit(&grid.ranking_table());
+    cli.emit(&designs::ranking_table(&grid));
     println!("\nMemCache split preference (measured vs Table II prediction)\n");
-    cli.emit(&grid.split_preference_table());
+    cli.emit(&designs::split_preference_table(&grid));
     cli.emit_trace("ext_designs", &grid.report);
     println!(
         "MemCache trades cache capacity for OS-visible memory: large\n\

@@ -47,7 +47,7 @@ mod faulted {
 
     use cameo::recovery::{RecoveryConfig, RecoveryStats};
     use cameo::{LltDesign, PredictorKind};
-    use cameo_bench::{print_header, Cli};
+    use cameo_bench::{print_header, usage_error, Cli};
     use cameo_memsim::faults::{FaultConfig, FaultStats};
     use cameo_sim::experiments::OrgKind;
     use cameo_sim::harness::{run_sweep_with, SweepOptions, SweepPoint};
@@ -203,7 +203,7 @@ mod faulted {
     /// Entry point of the feature-gated binary (see the module docs).
     pub fn main() {
         let flags = parse_flags();
-        let cli = Cli::from_args(flags.rest.clone());
+        let cli = Cli::from_args(flags.rest.clone()).unwrap_or_else(|e| usage_error(&e));
         print_header("Extension — metadata faults × recovery policy", &cli);
         // The grid is rates × policies; default to one benchmark so the
         // full suite stays opt-in via --bench.

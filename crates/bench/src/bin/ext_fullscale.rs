@@ -19,7 +19,6 @@
 
 use cameo_bench::{fullscale, print_header, Cli, SpeedupGrid};
 use cameo_sim::report::Table;
-use cameo_sim::trace::TraceOptions;
 
 /// Formats an optional byte gauge as MiB for the ladder table.
 fn mib(bytes: Option<u64>) -> String {
@@ -55,15 +54,7 @@ fn main() {
             // The trace describes the deepest (headline) rung only.
             rung.trace_out = None;
         }
-        let grid = match &rung.trace_out {
-            Some(path) => {
-                let trace_opts = TraceOptions::default();
-                let spill = fullscale::epoch_spill_factory(path, trace_opts.epoch_cycles)
-                    .unwrap_or_else(|e| panic!("creating the spilled-epoch directory: {e}"));
-                SpeedupGrid::collect_spilling(&kinds, &rung, trace_opts, &spill)
-            }
-            None => SpeedupGrid::collect(&kinds, &rung),
-        };
+        let grid = SpeedupGrid::collect(&kinds, &rung);
         let tracked_lines = rung.config.total_memory().lines();
         let peak = fullscale::peak_rss_bytes();
         let per_line = peak.map(|b| b as f64 / tracked_lines as f64);

@@ -13,8 +13,8 @@
 //! simulating.
 
 use cameo::llp::PredictionCase;
-use cameo_bench::{print_header, Cli};
-use cameo_sim::experiments::{run_benchmark, OrgKind};
+use cameo_bench::{print_header, usage_error, Cli, SpeedupGrid};
+use cameo_sim::experiments::OrgKind;
 use cameo_sim::report::{bar_chart, ratio, Table};
 use cameo_sim::RunStats;
 
@@ -48,7 +48,7 @@ fn artifact_modes(args: Vec<String>) -> Vec<String> {
         if arg == "--trace-json" {
             let path = it
                 .next()
-                .unwrap_or_else(|| panic!("--trace-json needs a value"));
+                .unwrap_or_else(|| usage_error("--trace-json: needs a value"));
             trace_json_mode(std::path::Path::new(&path));
             std::process::exit(0);
         }
@@ -100,7 +100,11 @@ fn trace_json_mode(path: &std::path::Path) {
 }
 
 fn main() {
-    let cli = Cli::from_args(artifact_modes(std::env::args().skip(1).collect()));
+    let mut cli = Cli::from_args(artifact_modes(std::env::args().skip(1).collect()))
+        .unwrap_or_else(|e| usage_error(&e));
+    // The dashboard covers one benchmark: the first one named, or the
+    // suite's first.
+    cli.benches.truncate(1);
     let bench = cli.benches[0];
     print_header("summary", &cli);
     println!(
@@ -112,7 +116,6 @@ fn main() {
     );
 
     let kinds = [
-        OrgKind::Baseline,
         OrgKind::AlloyCache,
         OrgKind::TlmStatic,
         OrgKind::TlmDynamic,
@@ -120,18 +123,18 @@ fn main() {
         OrgKind::cameo_default(),
         OrgKind::DoubleUse,
     ];
-    let mut runs: Vec<(OrgKind, RunStats)> = Vec::new();
-    for kind in kinds {
-        eprintln!("[run] {}", kind.label());
-        runs.push((kind, run_benchmark(&bench, kind, &cli.config)));
-    }
-    let baseline = runs[0].1.clone();
+    let grid = SpeedupGrid::collect(&kinds, &cli);
+    cli.emit_trace("summarize", &grid.report);
+    let baseline = &grid.baselines[bench.name];
+    let runs: Vec<(OrgKind, &RunStats)> = std::iter::once((OrgKind::Baseline, baseline))
+        .chain(kinds.into_iter().zip(&grid.runs[bench.name]))
+        .collect();
 
     // Speedup bars.
     let bars: Vec<(String, f64)> = runs
         .iter()
         .skip(1)
-        .map(|(k, s)| (k.label().to_owned(), s.speedup_over(&baseline)))
+        .map(|(k, s)| (k.label().to_owned(), s.speedup_over(baseline)))
         .collect();
     println!("speedup over baseline:\n{}", bar_chart(&bars, 40));
 

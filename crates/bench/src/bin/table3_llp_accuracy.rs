@@ -4,23 +4,15 @@
 use cameo::llp::PredictionCase;
 use cameo::PredictionCaseCounts;
 use cameo::{LltDesign, PredictorKind};
-use cameo_bench::{print_header, Cli};
-use cameo_sim::experiments::{run_benchmark, OrgKind};
+use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_sim::experiments::OrgKind;
 use cameo_sim::report::Table;
 
-fn aggregate(cli: &Cli, predictor: PredictorKind) -> PredictionCaseCounts {
+/// The prediction cases of grid column `col`, summed over the benchmarks.
+fn aggregate(grid: &SpeedupGrid, col: usize) -> PredictionCaseCounts {
     let mut total = PredictionCaseCounts::default();
-    for bench in &cli.benches {
-        eprintln!("[run] {} {:?}", bench.name, predictor);
-        let stats = run_benchmark(
-            bench,
-            OrgKind::Cameo {
-                llt: LltDesign::CoLocated,
-                predictor,
-            },
-            &cli.config,
-        );
-        if let Some(cases) = stats.cases {
+    for bench in &grid.order {
+        if let Some(cases) = grid.runs[bench.name][col].cases {
             total.merge(&cases);
         }
     }
@@ -37,9 +29,17 @@ fn pct(counts: &PredictionCaseCounts, case: PredictionCase) -> String {
 fn main() {
     let cli = Cli::parse();
     print_header("Table III — LLP accuracy", &cli);
-    let sam = aggregate(&cli, PredictorKind::SerialAccess);
-    let llp = aggregate(&cli, PredictorKind::Llp);
-    let perfect = aggregate(&cli, PredictorKind::Perfect);
+    let kinds = [
+        PredictorKind::SerialAccess,
+        PredictorKind::Llp,
+        PredictorKind::Perfect,
+    ]
+    .map(|predictor| OrgKind::Cameo {
+        llt: LltDesign::CoLocated,
+        predictor,
+    });
+    let grid = SpeedupGrid::collect(&kinds, &cli);
+    let [sam, llp, perfect] = [0, 1, 2].map(|col| aggregate(&grid, col));
 
     let mut table = Table::new(vec!["serviced by", "prediction", "SAM", "LLP", "Perfect"]);
     use PredictionCase::*;
@@ -72,5 +72,6 @@ fn main() {
     ]);
     println!("Table III — accuracy of the Line Location Predictor (%)\n");
     cli.emit(&table);
+    cli.emit_trace("table3_llp_accuracy", &grid.report);
     println!("\npaper: SAM 70.3 / LLP 91.7 / Perfect 100 overall accuracy");
 }

@@ -1,10 +1,9 @@
 //! Table IV: bandwidth usage in memory and storage, normalized to the
 //! baseline, averaged per workload category.
 
-use cameo_bench::{print_header, Cli};
-use cameo_sim::experiments::{run_benchmark, OrgKind};
+use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_sim::experiments::OrgKind;
 use cameo_sim::report::{ratio, Table};
-use cameo_sim::RunStats;
 use cameo_workloads::Category;
 
 fn mean(values: &[f64]) -> Option<f64> {
@@ -17,18 +16,17 @@ struct CategoryAverages {
     storage: Option<f64>,
 }
 
-fn averages(
-    runs: &[(Category, RunStats, RunStats)], // (category, run, baseline)
-    category: Category,
-) -> CategoryAverages {
+/// Bandwidth of grid column `col`, normalized to the baseline and
+/// averaged over the benchmarks of `category`.
+fn averages(grid: &SpeedupGrid, col: usize, category: Category) -> CategoryAverages {
     let mut stacked = Vec::new();
     let mut off = Vec::new();
     let mut storage = Vec::new();
-    for (cat, run, base) in runs {
-        if *cat != category {
-            continue;
-        }
-        let n = run.bandwidth.normalized_to(&base.bandwidth);
+    for bench in grid.order.iter().filter(|b| b.category == category) {
+        let run = &grid.runs[bench.name][col];
+        let n = run
+            .bandwidth
+            .normalized_to(&grid.baselines[bench.name].bandwidth);
         if let Some(v) = n.stacked {
             stacked.push(v);
         }
@@ -55,6 +53,7 @@ fn main() {
         OrgKind::TlmDynamic,
         OrgKind::cameo_default(),
     ];
+    let grid = SpeedupGrid::collect(&kinds, &cli);
 
     let mut table = Table::new(vec![
         "design",
@@ -72,16 +71,9 @@ fn main() {
         "n/a".to_owned(),
         "1.00x".to_owned(),
     ]);
-    for kind in kinds {
-        let mut runs = Vec::new();
-        for bench in &cli.benches {
-            eprintln!("[run] {} {}", bench.name, kind.label());
-            let base = run_benchmark(bench, OrgKind::Baseline, &cli.config);
-            let run = run_benchmark(bench, kind, &cli.config);
-            runs.push((bench.category, run, base));
-        }
-        let cap = averages(&runs, Category::CapacityLimited);
-        let lat = averages(&runs, Category::LatencyLimited);
+    for (col, kind) in kinds.iter().enumerate() {
+        let cap = averages(&grid, col, Category::CapacityLimited);
+        let lat = averages(&grid, col, Category::LatencyLimited);
         table.row(vec![
             kind.label().to_owned(),
             ratio(cap.stacked),
@@ -96,6 +88,7 @@ fn main() {
          normalized to baseline; stacked normalized to baseline off-chip)\n"
     );
     cli.emit(&table);
+    cli.emit_trace("table4_bandwidth", &grid.report);
     println!(
         "\npaper: Cache 1.93/0.55/1.00 | TLM-Stat 0.26/0.74/0.78 | \
          TLM-Dyn 2.54/2.19/0.78 | CAMEO 1.89/1.07/0.79 (Capacity columns)"

@@ -173,34 +173,21 @@ pub fn epochs_dir(trace_out: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Builds the per-point epoch-spill factory for the streaming trace path:
-/// each sweep point gets its own JSONL writer under
-/// [`epochs_dir`]`(trace_out)`, so epochs evicted from the bounded
-/// retention ring reach disk incrementally instead of accumulating in the
-/// sink (see `cameo_sim::harness::run_sweep_traced_spilling`). Retries of
-/// a point recreate (truncate) its file, keeping attempts unmixed.
-///
-/// # Errors
-///
-/// Returns the error from creating the epochs directory. A failure to
-/// open one point's writer later is reported to stderr and that point
-/// falls back to ring-only retention rather than failing the sweep.
+/// The per-point epoch-spill hooks of a `--trace-out PATH` sweep: each
+/// point streams the epochs its bounded retention ring evicts to its own
+/// JSONL file under [`epochs_dir`]`(PATH)`, created at the first eviction
+/// ([`trace_export::epoch_spill_writer`]), instead of accumulating them
+/// in the sink. A sweep builder calls the factory once per attempt, so a
+/// retried point recreates (truncates) its file.
 pub fn epoch_spill_factory(
     trace_out: &Path,
     epoch_cycles: u64,
-) -> std::io::Result<impl Fn(&SweepPoint) -> Option<EpochSpillFn> + Sync> {
+) -> impl Fn(&SweepPoint) -> EpochSpillFn + Sync {
     let dir = epochs_dir(trace_out);
-    std::fs::create_dir_all(&dir)?;
-    Ok(move |point: &SweepPoint| {
+    move |point: &SweepPoint| {
         let path = dir.join(format!("{}.jsonl", sanitize_key(&point.key)));
-        match trace_export::epoch_spill_writer(&path, &point.key, epoch_cycles) {
-            Ok(writer) => Some(writer),
-            Err(e) => {
-                eprintln!("[trace] spill writer {}: {e}", path.display());
-                None
-            }
-        }
-    })
+        trace_export::epoch_spill_writer(path, &point.key, epoch_cycles)
+    }
 }
 
 #[cfg(test)]
@@ -219,7 +206,8 @@ mod tests {
 
     #[test]
     fn calibrate_fills_defaults_and_keeps_explicit_flags() {
-        let args = |s: &str| Cli::from_args(s.split_whitespace().map(str::to_owned));
+        let args =
+            |s: &str| Cli::from_args(s.split_whitespace().map(str::to_owned)).expect("valid flags");
         let c = calibrate(args("--scale 16"));
         assert_eq!(c.config.cores, MICRO_CORES);
         assert_eq!(c.config.instructions_per_core, MICRO_INSTRUCTIONS);

@@ -17,6 +17,7 @@
 //! ```
 //!
 //! and prints the regenerated rows/series of one paper table or figure.
+//! A malformed flag prints `error: <flag>: <reason>` and exits 2.
 //! Results are deterministic at any `--jobs` value: points are
 //! independent and the harness reassembles them in canonical order.
 
@@ -25,15 +26,17 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use cameo_sim::checkpoint::PointRecord;
-use cameo_sim::experiments::{gmean, OrgKind};
+use cameo_sim::experiments::{build_org_on, build_org_traced_on, gmean, OrgKind};
 use cameo_sim::harness::{
-    run_sweep, run_sweep_traced_spilling, EpochSpillFactory, SweepOptions, SweepPoint, SweepReport,
+    run_sweep_traced_with, SweepOptions, SweepPoint, SweepReport, TracedBuild,
 };
 use cameo_sim::report::Table;
-use cameo_sim::trace::TraceOptions;
+use cameo_sim::trace::{SharedSink, TraceOptions};
 use cameo_sim::{RunStats, SystemConfig};
+use cameo_types::DeviceKind;
 use cameo_workloads::{suite, BenchSpec, Category};
 
 pub mod ablations;
@@ -63,49 +66,43 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags.
+    /// Parses `std::env::args`; on a malformed flag, prints the error and
+    /// exits with [`usage_error`].
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Parses an explicit argument list (testable).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed flags.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Returns `"<flag>: <reason>"` for a flag without its value, a value
+    /// that does not parse, an unknown flag or benchmark, and a value the
+    /// resulting [`SystemConfig::validate`] rejects.
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut config = SystemConfig::default();
         let mut csv = false;
-        let mut names: Vec<String> = Vec::new();
+        let mut benches = Vec::new();
         let mut jobs = 0usize; // 0 = auto (available parallelism)
         let mut chunk = None;
         let mut trace_out = None;
         let mut it = args.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-            it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--scale" => config.scale = need(&mut it, "--scale").parse().expect("--scale"),
-                "--cores" => config.cores = need(&mut it, "--cores").parse().expect("--cores"),
-                "--instructions" => {
-                    config.instructions_per_core = need(&mut it, "--instructions")
-                        .parse()
-                        .expect("--instructions");
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--scale" => config.scale = flag_value(&mut it, &flag)?,
+                "--cores" => config.cores = flag_value(&mut it, &flag)?,
+                "--instructions" => config.instructions_per_core = flag_value(&mut it, &flag)?,
+                "--seed" => config.seed = flag_value(&mut it, &flag)?,
+                "--mlp" => config.mlp = flag_value(&mut it, &flag)?,
+                "--ipc" => config.ipc = flag_value(&mut it, &flag)?,
+                "--bench" => {
+                    let name: String = flag_value(&mut it, &flag)?;
+                    benches
+                        .push(cameo_workloads::require(&name).map_err(|e| format!("{flag}: {e}"))?);
                 }
-                "--seed" => config.seed = need(&mut it, "--seed").parse().expect("--seed"),
-                "--mlp" => config.mlp = need(&mut it, "--mlp").parse().expect("--mlp"),
-                "--ipc" => config.ipc = need(&mut it, "--ipc").parse().expect("--ipc"),
-                "--bench" => names.push(need(&mut it, "--bench")),
-                "--jobs" => jobs = need(&mut it, "--jobs").parse().expect("--jobs"),
-                "--chunk" => chunk = Some(need(&mut it, "--chunk").parse().expect("--chunk")),
-                "--trace-out" => {
-                    trace_out = Some(PathBuf::from(need(&mut it, "--trace-out")));
-                }
+                "--jobs" => jobs = flag_value(&mut it, &flag)?,
+                "--chunk" => chunk = Some(flag_value(&mut it, &flag)?),
+                "--trace-out" => trace_out = Some(flag_value(&mut it, &flag)?),
                 "--quick" => {
                     config.scale = 512;
                     config.cores = 2;
@@ -120,31 +117,26 @@ impl Cli {
                     );
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag {other}"),
+                _ => return Err(format!("{flag}: unknown flag")),
             }
+            // Checked after every flag, so a rejected value is reported
+            // against the flag that set it.
+            config.validate().map_err(|e| format!("{flag}: {e}"))?;
         }
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid configuration from CLI flags: {e}"));
-        let benches = if names.is_empty() {
-            suite()
-        } else {
-            names
-                .iter()
-                .map(|n| cameo_workloads::require(n).unwrap_or_else(|e| panic!("{e}")))
-                .collect()
-        };
+        if benches.is_empty() {
+            benches = suite();
+        }
         if jobs == 0 {
             jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         }
-        Self {
+        Ok(Self {
             config,
             csv,
             benches,
             jobs,
             chunk,
             trace_out,
-        }
+        })
     }
 
     /// Writes the `--trace-out` JSONL and Chrome-trace artifacts for a
@@ -171,13 +163,88 @@ impl Cli {
     }
 }
 
-/// All per-benchmark runs of one experiment: `results[bench][kind]`.
+/// Takes the value of `flag` off the argument list and parses it.
+fn flag_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = args
+        .next()
+        .ok_or_else(|| format!("{flag}: needs a value"))?;
+    raw.parse()
+        .map_err(|e| format!("{flag}: invalid value {raw:?} ({e})"))
+}
+
+/// Prints `error: <message>` to stderr and exits with status 2, the
+/// figure binaries' usage-error status.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// One column of a [`SpeedupGrid`]: an organization, on the flat Table I
+/// devices unless the column names a device model.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Column {
+    /// The memory organization under test.
+    pub kind: OrgKind,
+    /// The device model the column names. A column that names one is
+    /// labelled and keyed `<org>@<device>`; one that does not runs on the
+    /// flat devices, is labelled by its organization and keyed by its
+    /// column index.
+    pub device: Option<DeviceKind>,
+}
+
+impl From<OrgKind> for Column {
+    fn from(kind: OrgKind) -> Self {
+        Self { kind, device: None }
+    }
+}
+
+impl Column {
+    /// Column header: `"<org>"`, or `"<org>@<device>"` when the column
+    /// names its device.
+    pub fn label(&self) -> String {
+        match self.device {
+            Some(device) => format!("{}@{}", self.kind.label(), device.label()),
+            None => self.kind.label().to_owned(),
+        }
+    }
+}
+
+/// Builds one grid point's organization on the device its key names
+/// (the `@<device>` suffix [`SpeedupGrid::points`] gives a column that
+/// names one; flat otherwise), emitting into `sink` when one is armed.
+/// [`SpeedupGrid::collect`] sweeps through it, and so do the goldens that
+/// pin what the binaries run.
+///
+/// # Panics
+///
+/// Panics if the point's benchmark is not in the Table II suite; the
+/// harness resolves it before calling a builder.
+pub fn build_point(
+    point: &SweepPoint,
+    config: &SystemConfig,
+    sink: Option<SharedSink>,
+) -> TracedBuild {
+    let bench = cameo_workloads::by_name(&point.bench)
+        .expect("the harness resolved the benchmark before building the organization");
+    let device = designs::device_of_key(&point.key);
+    let org = match &sink {
+        Some(sink) => build_org_traced_on(&bench, point.kind, device, config, sink.clone()),
+        None => build_org_on(&bench, point.kind, device, config),
+    };
+    (org, sink)
+}
+
+/// All per-benchmark runs of one experiment: `runs[bench][column]`, plus
+/// each benchmark's flat off-chip baseline.
 pub struct SpeedupGrid {
-    /// The organizations compared, in column order.
-    pub kinds: Vec<OrgKind>,
+    /// The columns compared, in order.
+    pub columns: Vec<Column>,
     /// Per-benchmark baseline stats.
     pub baselines: BTreeMap<String, RunStats>,
-    /// Per-benchmark, per-organization stats.
+    /// Per-benchmark, per-column stats.
     pub runs: BTreeMap<String, Vec<RunStats>>,
     /// Benchmark order.
     pub order: Vec<BenchSpec>,
@@ -187,52 +254,53 @@ pub struct SpeedupGrid {
 }
 
 impl SpeedupGrid {
-    /// Runs the baseline plus every `kind` for every benchmark in `cli`
-    /// through the sweep harness, across [`Cli::jobs`] workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any design point fails — figure binaries want broken
-    /// points loud, not silently missing columns.
-    pub fn collect(kinds: &[OrgKind], cli: &Cli) -> Self {
-        Self::collect_spilling(kinds, cli, TraceOptions::default(), &|_| None)
-    }
-
-    /// [`SpeedupGrid::collect`], with explicit trace options and a
-    /// per-point epoch-spill factory for the streaming flat-memory path:
-    /// when `--trace-out` is armed, epochs evicted from the bounded
-    /// retention ring are handed to the hook `spill` returns for the
-    /// point instead of accumulating in the sink (see
-    /// [`cameo_sim::trace::EpochSeries`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any design point fails, like [`SpeedupGrid::collect`].
-    pub fn collect_spilling(
-        kinds: &[OrgKind],
-        cli: &Cli,
-        trace_opts: TraceOptions,
-        spill: &EpochSpillFactory<'_>,
-    ) -> Self {
-        // Column-indexed keys: stable for checkpoints and immune to two
-        // columns sharing an organization label.
-        let mut points = Vec::with_capacity(cli.benches.len() * (kinds.len() + 1));
-        for bench in &cli.benches {
+    /// The grid's point set: per benchmark, the flat baseline under
+    /// `"<bench>::#base"`, then each column under `"<bench>::#<col>"` or,
+    /// when the column names its device, `"<bench>::<org>@<device>"`.
+    /// Column-indexed keys stay unique even when two columns share an
+    /// organization label.
+    pub fn points(benches: &[BenchSpec], columns: &[Column]) -> Vec<SweepPoint> {
+        let mut points = Vec::with_capacity(benches.len() * (columns.len() + 1));
+        for bench in benches {
             points.push(
                 SweepPoint::new(bench.name, OrgKind::Baseline)
                     .with_key(format!("{}::#base", bench.name)),
             );
-            for (col, kind) in kinds.iter().enumerate() {
+            for (col, column) in columns.iter().enumerate() {
+                let suffix = match column.device {
+                    Some(_) => column.label(),
+                    None => format!("#{col}"),
+                };
                 points.push(
-                    SweepPoint::new(bench.name, *kind).with_key(format!("{}::#{col}", bench.name)),
+                    SweepPoint::new(bench.name, column.kind)
+                        .with_key(format!("{}::{suffix}", bench.name)),
                 );
             }
         }
+        points
+    }
+
+    /// Runs the baseline plus every column for every benchmark in `cli`
+    /// through the sweep harness, across [`Cli::jobs`] workers, stepping
+    /// points [`Cli::chunk`] accesses at a time.
+    ///
+    /// `--trace-out PATH` arms a recording sink per point; epochs its
+    /// bounded ring evicts stream to `PATH.epochs/`
+    /// ([`fullscale::epoch_spill_factory`]). The results are bit-identical
+    /// either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any point fails — figure binaries want broken points
+    /// loud, not silently missing columns.
+    pub fn collect<C: Into<Column> + Copy>(columns: &[C], cli: &Cli) -> Self {
+        let columns: Vec<Column> = columns.iter().map(|&c| c.into()).collect();
+        let points = Self::points(&cli.benches, &columns);
         eprintln!(
             "[sweep] {} points ({} benches x {} orgs) across {} worker(s)",
             points.len(),
             cli.benches.len(),
-            kinds.len() + 1,
+            columns.len() + 1,
             cli.jobs.max(1),
         );
         let opts = SweepOptions {
@@ -242,13 +310,17 @@ impl SpeedupGrid {
             chunk_accesses: cli.chunk,
             ..SweepOptions::default()
         };
-        // `--trace-out` arms the recording sink; results are bit-identical
-        // either way (the harness guarantees report equality).
-        let report = if cli.trace_out.is_some() {
-            run_sweep_traced_spilling(&points, &opts, None, trace_opts, spill)
-        } else {
-            run_sweep(&points, &opts, None)
-        }
+        let trace_opts = TraceOptions::default();
+        let spill = cli
+            .trace_out
+            .as_deref()
+            .map(|path| fullscale::epoch_spill_factory(path, trace_opts.epoch_cycles));
+        let report = run_sweep_traced_with(&points, &opts, None, &|point, config| {
+            let sink = spill
+                .as_ref()
+                .map(|spill| SharedSink::with_spill(trace_opts, spill(point)));
+            build_point(point, config, sink)
+        })
         .unwrap_or_else(|e| panic!("sweep failed before any checkpointing: {e}"));
 
         let mut outcomes = report.outcomes.iter();
@@ -267,12 +339,12 @@ impl SpeedupGrid {
         let mut runs = BTreeMap::new();
         for bench in &cli.benches {
             let base = take();
-            let row: Vec<RunStats> = kinds.iter().map(|_| take()).collect();
+            let row: Vec<RunStats> = columns.iter().map(|_| take()).collect();
             baselines.insert(bench.name.to_owned(), base);
             runs.insert(bench.name.to_owned(), row);
         }
         Self {
-            kinds: kinds.to_vec(),
+            columns,
             baselines,
             runs,
             order: cli.benches.clone(),
@@ -280,7 +352,8 @@ impl SpeedupGrid {
         }
     }
 
-    /// Speedup of `kind` (by column index) on `bench`.
+    /// Speedup of a column (by index) on `bench`, over its flat off-chip
+    /// baseline.
     pub fn speedup(&self, bench: &str, col: usize) -> f64 {
         self.runs[bench][col].speedup_over(&self.baselines[bench])
     }
@@ -290,11 +363,11 @@ impl SpeedupGrid {
     /// 15).
     pub fn speedup_table(&self) -> Table {
         let mut headers = vec!["bench".to_owned(), "category".to_owned()];
-        headers.extend(self.kinds.iter().map(|k| k.label().to_owned()));
+        headers.extend(self.columns.iter().map(Column::label));
         let mut table = Table::new(headers);
         for bench in &self.order {
             let mut row = vec![bench.name.to_owned(), bench.category.to_string()];
-            for col in 0..self.kinds.len() {
+            for col in 0..self.columns.len() {
                 row.push(format!("{:.2}x", self.speedup(bench.name, col)));
             }
             table.row(row);
@@ -313,7 +386,7 @@ impl SpeedupGrid {
                 continue;
             }
             let mut row = vec![label.to_owned(), String::new()];
-            for col in 0..self.kinds.len() {
+            for col in 0..self.columns.len() {
                 let g = gmean(selected.iter().map(|b| self.speedup(b.name, col)))
                     .expect("non-empty category");
                 row.push(format!("{g:.2}x"));
@@ -332,10 +405,10 @@ impl SpeedupGrid {
     /// rendition of the figure's summary bars.
     pub fn gmean_chart(&self) -> String {
         let rows: Vec<(String, f64)> = self
-            .kinds
+            .columns
             .iter()
             .enumerate()
-            .map(|(col, kind)| (kind.label().to_owned(), self.gmean_all(col)))
+            .map(|(col, column)| (column.label(), self.gmean_all(col)))
             .collect();
         cameo_sim::report::bar_chart(&rows, 40)
     }
@@ -358,8 +431,12 @@ pub fn print_header(what: &str, cli: &Cli) {
 mod tests {
     use super::*;
 
-    fn args(s: &str) -> Cli {
+    fn parse(s: &str) -> Result<Cli, String> {
         Cli::from_args(s.split_whitespace().map(str::to_owned))
+    }
+
+    fn args(s: &str) -> Cli {
+        parse(s).expect("valid flags")
     }
 
     #[test]
@@ -420,14 +497,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown benchmark")]
     fn unknown_bench_rejected() {
-        args("--bench nosuch");
+        let err = parse("--bench nosuch").expect_err("nosuch is not in the suite");
+        assert!(err.starts_with("--bench: unknown benchmark"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
     fn unknown_flag_rejected() {
-        args("--frobnicate");
+        assert_eq!(
+            parse("--frobnicate").expect_err("not a flag"),
+            "--frobnicate: unknown flag"
+        );
+    }
+
+    /// A malformed, missing or rejected value is an error naming its
+    /// flag, not a panic.
+    #[test]
+    fn bad_values_are_errors_naming_their_flag() {
+        let err = parse("--scale x").expect_err("x is not a number");
+        assert!(err.starts_with("--scale: invalid value \"x\""), "{err}");
+        assert_eq!(
+            parse("--quick --jobs").expect_err("--jobs has no value"),
+            "--jobs: needs a value"
+        );
+        let err = parse("--ipc nan").expect_err("validate rejects a NaN IPC");
+        assert!(err.starts_with("--ipc: "), "{err}");
     }
 }

@@ -137,35 +137,47 @@ fn spilled_line(key: &str, spilled_epochs: u64, c: &EpochCounters) -> Json {
     Json::Obj(fields)
 }
 
-/// Opens `path` and returns a spill hook for
-/// [`cameo_sim::trace::SharedSink::with_spill`] that appends one epoch
-/// JSONL line (same shape as the dump's `"epoch"` lines, keyed by `key`)
-/// per evicted epoch, flushed per line so a kill loses nothing.
+/// Returns a spill hook for [`cameo_sim::trace::SharedSink::with_spill`]
+/// that appends one epoch JSONL line (same shape as the dump's `"epoch"`
+/// lines, keyed by `key`) to `path` per evicted epoch, flushed per line
+/// so a kill loses nothing.
 ///
 /// This is how a paper-scale run streams its epoch series to disk while
 /// the in-memory ring stays bounded: the spill file holds the evicted
-/// prefix, the end-of-run dump holds the retained tail.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error from creating the file.
+/// prefix, the end-of-run dump holds the retained tail. The file and its
+/// directory are created at the first evicted epoch, so a run whose ring
+/// never fills leaves no file behind. If they cannot be created, the hook
+/// says so once on stderr and the point keeps ring-only retention.
 pub fn epoch_spill_writer(
-    path: &Path,
+    path: PathBuf,
     key: &str,
     epoch_cycles: u64,
-) -> std::io::Result<cameo_sim::trace::EpochSpillFn> {
-    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+) -> cameo_sim::trace::EpochSpillFn {
     let key = key.to_owned();
-    Ok(Box::new(move |index, c: &EpochCounters| {
-        // Spills are rare (one per epoch beyond the cap); flushing each
-        // line keeps the file whole no matter when the run dies.
-        let _ = writeln!(
-            file,
-            "{}",
-            epoch_line(&key, index, epoch_cycles, c).render()
-        );
-        let _ = file.flush();
-    }))
+    // `None` until the first eviction; `Some(None)` once creating failed.
+    let mut file: Option<Option<std::io::BufWriter<std::fs::File>>> = None;
+    Box::new(move |index, c: &EpochCounters| {
+        let file = file.get_or_insert_with(|| {
+            let created = path
+                .parent()
+                .map_or(Ok(()), std::fs::create_dir_all)
+                .and_then(|()| std::fs::File::create(&path));
+            created
+                .map_err(|e| eprintln!("[trace] spill writer {}: {e}", path.display()))
+                .ok()
+                .map(std::io::BufWriter::new)
+        });
+        if let Some(file) = file {
+            // Spills are rare (one per epoch beyond the cap); flushing each
+            // line keeps the file whole no matter when the run dies.
+            let _ = writeln!(
+                file,
+                "{}",
+                epoch_line(&key, index, epoch_cycles, c).render()
+            );
+            let _ = file.flush();
+        }
+    })
 }
 
 /// One Chrome-trace instant event (`ph: "i"`).
@@ -397,8 +409,8 @@ pub fn epoch_table(lines: &[Json]) -> Table {
 mod tests {
     use super::*;
     use cameo_sim::experiments::OrgKind;
-    use cameo_sim::harness::{run_sweep_traced, SweepOptions, SweepPoint};
-    use cameo_sim::trace::TraceOptions;
+    use cameo_sim::harness::{run_sweep_traced_with, SweepOptions, SweepPoint};
+    use cameo_sim::trace::{SharedSink, TraceOptions};
     use cameo_sim::SystemConfig;
 
     fn traced_report() -> SweepReport {
@@ -417,8 +429,14 @@ mod tests {
             SweepPoint::new("astar", OrgKind::cameo_default()),
             SweepPoint::new("astar", OrgKind::Baseline),
         ];
-        run_sweep_traced(&points, &opts, None, TraceOptions::default())
-            .expect("no checkpoint I/O involved")
+        run_sweep_traced_with(&points, &opts, None, &|point, config| {
+            crate::build_point(
+                point,
+                config,
+                Some(SharedSink::new(TraceOptions::default())),
+            )
+        })
+        .expect("no checkpoint I/O involved")
     }
 
     #[test]
@@ -494,5 +512,24 @@ mod tests {
             chrome_path(Path::new("/tmp/fig12.trace")),
             PathBuf::from("/tmp/fig12.trace.chrome.json")
         );
+    }
+
+    /// A spill writer creates its directory and file at the first evicted
+    /// epoch, so a run whose ring never fills leaves nothing on disk.
+    #[test]
+    fn spill_file_appears_at_the_first_eviction() {
+        let dir = std::env::temp_dir().join(format!("cameo_spill_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("mcf___0.jsonl");
+        let mut spill = epoch_spill_writer(path.clone(), "mcf::#0", 100);
+        assert!(!dir.exists(), "nothing is created before an epoch spills");
+        spill(3, &EpochCounters::default());
+        spill(4, &EpochCounters::default());
+        let text = std::fs::read_to_string(&path).expect("the first eviction created the file");
+        std::fs::remove_dir_all(&dir).expect("tmp cleanup");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2);
+        let first = Json::parse(lines[0]).expect("spilled lines are JSON");
+        assert_eq!(first.get("key").and_then(Json::as_str), Some("mcf::#0"));
     }
 }

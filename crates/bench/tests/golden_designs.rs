@@ -1,8 +1,8 @@
 //! Golden-conformance route for `ext_designs`: the binary's exact point
 //! set (the org × device design matrix over the calibration benchmark,
-//! baseline included, under the device-encoded key scheme of
-//! `designs::sweep_points`) replayed at the micro configuration and
-//! byte-compared against a checked-in reference.
+//! baseline included, built by `SpeedupGrid::points` under its
+//! device-encoded keys) replayed at the micro configuration through the
+//! grid's own builder and byte-compared against a checked-in reference.
 //!
 //! This mirrors the fig09/fig12/fig13 and fullscale golden suites: per
 //! point, the byte-exact checkpoint record and a trace-totals line, so
@@ -16,9 +16,8 @@
 
 use std::path::PathBuf;
 
-use cameo_bench::designs::{self, device_of_key};
+use cameo_bench::{build_point, designs, SpeedupGrid};
 use cameo_sim::checkpoint::{render_record, Json};
-use cameo_sim::experiments::build_org_traced_on;
 use cameo_sim::harness::{run_sweep_traced_with, SweepOptions, SweepPoint, SweepReport};
 use cameo_sim::trace::{SharedSink, TraceData, TraceOptions};
 use cameo_sim::SystemConfig;
@@ -46,23 +45,18 @@ fn micro() -> SweepOptions {
 /// design matrix on the calibration benchmark, under device-encoded keys.
 fn design_points() -> Vec<SweepPoint> {
     let benches = vec![cameo_workloads::require("mcf").expect("suite benchmark")];
-    designs::sweep_points(&benches, &designs::designs())
+    SpeedupGrid::points(&benches, &designs::designs())
 }
 
 /// Runs the design point set with tracing armed, building each point per
 /// its `(organization, device)` pair exactly as `ext_designs` does.
 fn run_design_sweep(opts: &SweepOptions) -> SweepReport {
     run_sweep_traced_with(&design_points(), opts, None, &|point, config| {
-        let bench = cameo_workloads::require(&point.bench).expect("suite benchmark");
-        let sink = SharedSink::new(TraceOptions::default());
-        let org = build_org_traced_on(
-            &bench,
-            point.kind,
-            device_of_key(&point.key),
+        build_point(
+            point,
             config,
-            sink.clone(),
-        );
-        (org, Some(sink))
+            Some(SharedSink::new(TraceOptions::default())),
+        )
     })
     .expect("mcf resolves and the micro config is valid")
 }

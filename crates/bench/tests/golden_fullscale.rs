@@ -1,7 +1,8 @@
 //! Golden-conformance route for `ext_fullscale`: the binary's exact point
-//! set (the fig13 headline micro-slice, baseline included, under the
-//! column-indexed key scheme of `SpeedupGrid::collect`) replayed at the
-//! micro configuration and byte-compared against a checked-in reference.
+//! set (the fig13 headline micro-slice, baseline included, built by
+//! `SpeedupGrid::points` under its column-indexed keys) replayed at the
+//! micro configuration through the grid's own builder and byte-compared
+//! against a checked-in reference.
 //!
 //! This mirrors the fig09/fig12/fig13 golden suite in
 //! `tests/end_to_end.rs`: per point, the byte-exact checkpoint record and
@@ -15,11 +16,10 @@
 
 use std::path::PathBuf;
 
-use cameo_bench::fullscale;
+use cameo_bench::{build_point, fullscale, Column, SpeedupGrid};
 use cameo_sim::checkpoint::{render_record, Json};
-use cameo_sim::experiments::OrgKind;
-use cameo_sim::harness::{run_sweep_traced, SweepOptions, SweepPoint, SweepReport};
-use cameo_sim::trace::{TraceData, TraceOptions};
+use cameo_sim::harness::{run_sweep_traced_with, SweepOptions, SweepPoint, SweepReport};
+use cameo_sim::trace::{SharedSink, TraceData, TraceOptions};
 use cameo_sim::SystemConfig;
 
 /// The micro configuration shared with the root golden suite: small
@@ -42,15 +42,10 @@ fn micro() -> SweepOptions {
 }
 
 /// The point set `ext_fullscale` runs at every rung: the calibration
-/// benchmark against baseline plus the headline columns, under the
-/// column-indexed keys `SpeedupGrid::collect` assigns.
+/// benchmark against baseline plus the headline columns.
 fn fullscale_points() -> Vec<SweepPoint> {
-    let mut points =
-        vec![SweepPoint::new("mcf", OrgKind::Baseline).with_key("mcf::#base".to_owned())];
-    for (col, kind) in fullscale::kinds().into_iter().enumerate() {
-        points.push(SweepPoint::new("mcf", kind).with_key(format!("mcf::#{col}")));
-    }
-    points
+    let benches = vec![cameo_workloads::require("mcf").expect("suite benchmark")];
+    SpeedupGrid::points(&benches, &fullscale::kinds().map(Column::from))
 }
 
 /// Event-recording totals rendered as one JSON line (the same shape as
@@ -103,8 +98,14 @@ fn golden_path() -> PathBuf {
 /// The `ext_fullscale` micro-slice is bit-stable at micro scale.
 #[test]
 fn golden_fullscale_conformance() {
-    let report = run_sweep_traced(&fullscale_points(), &micro(), None, TraceOptions::default())
-        .expect("mcf resolves and the micro config is valid");
+    let report = run_sweep_traced_with(&fullscale_points(), &micro(), None, &|point, config| {
+        build_point(
+            point,
+            config,
+            Some(SharedSink::new(TraceOptions::default())),
+        )
+    })
+    .expect("mcf resolves and the micro config is valid");
     let rendered = render_report(&report);
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {

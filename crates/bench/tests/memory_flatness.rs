@@ -6,10 +6,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use cameo_bench::fullscale;
+use cameo_bench::{build_point, fullscale};
 use cameo_sim::experiments::OrgKind;
-use cameo_sim::harness::{run_sweep_traced_spilling, SweepOptions, SweepPoint};
-use cameo_sim::trace::{EpochSpillFn, TraceOptions};
+use cameo_sim::harness::{run_sweep_traced_with, SweepOptions, SweepPoint};
+use cameo_sim::trace::{SharedSink, TraceOptions};
 use cameo_sim::SystemConfig;
 
 #[test]
@@ -37,20 +37,24 @@ fn rss_stays_flat_while_epochs_stream_out() {
         ..TraceOptions::default()
     };
     let samples: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&samples);
-    let factory = move |_point: &SweepPoint| -> Option<EpochSpillFn> {
-        let sink = Arc::clone(&sink);
-        Some(Box::new(move |index, _counters| {
+    let points = [SweepPoint::new("mcf", OrgKind::cameo_default())];
+    run_sweep_traced_with(&points, &opts, None, &|point, config| {
+        let samples = Arc::clone(&samples);
+        let spill = Box::new(move |index, _: &_| {
             if let Some(rss) = fullscale::current_rss_bytes() {
-                sink.lock()
+                samples
+                    .lock()
                     .expect("no spill sampler panicked while holding the lock")
                     .push((index, rss));
             }
-        }))
-    };
-    let points = [SweepPoint::new("mcf", OrgKind::cameo_default())];
-    run_sweep_traced_spilling(&points, &opts, None, trace_opts, &factory)
-        .expect("mcf resolves and the flatness config is valid");
+        });
+        build_point(
+            point,
+            config,
+            Some(SharedSink::with_spill(trace_opts, spill)),
+        )
+    })
+    .expect("mcf resolves and the flatness config is valid");
 
     let samples = samples
         .lock()

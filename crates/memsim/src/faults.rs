@@ -168,11 +168,6 @@ impl FaultyDevice {
         self.fault_stats = FaultStats::default();
     }
 
-    /// The active fault configuration.
-    pub fn fault_config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Counters of faults injected since arming.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats

@@ -516,43 +516,13 @@ pub fn render_record(key: &str, record: &PointRecord) -> String {
     Json::Obj(fields).render()
 }
 
-/// Renders an in-flight progress marker for `key` as a single JSONL line
-/// (no trailing newline): `{"key":…,"status":"chunk","attempts":…}`.
-///
-/// A chunked sweep appends one of these the first time a point pauses
-/// between chunks, so an operator inspecting a killed sweep's checkpoint
-/// can tell "was mid-run" from "never started". Progress markers carry no
-/// resumable state: loaders skip them and the point re-runs from scratch.
-pub fn render_progress(key: &str, attempts: u32) -> String {
-    Json::Obj(vec![
-        ("key".to_owned(), Json::Str(key.to_owned())),
-        ("status".to_owned(), Json::Str("chunk".to_owned())),
-        ("attempts".to_owned(), Json::U64(u64::from(attempts))),
-    ])
-    .render()
-}
-
-/// One parsed checkpoint line.
-#[derive(Clone, PartialEq, Debug)]
-pub enum CheckpointLine {
-    /// A terminal record: the point completed or failed for good.
-    Terminal(String, PointRecord),
-    /// A `"chunk"` progress marker (see [`render_progress`]): the keyed
-    /// point was in flight when the line was written.
-    Progress {
-        /// The in-flight point's checkpoint key.
-        key: String,
-        /// The attempt that was running when the marker was written.
-        attempts: u32,
-    },
-}
-
-/// Parses one JSONL line into a [`CheckpointLine`].
+/// Parses one JSONL line into its `(key, record)` pair.
 ///
 /// # Errors
 ///
-/// Returns a description of the malformation.
-pub fn parse_line(line: &str) -> Result<CheckpointLine, String> {
+/// Returns a description of the malformation, including a status other
+/// than `"done"` or `"failed"`.
+pub fn parse_record(line: &str) -> Result<(String, PointRecord), String> {
     let obj = Json::parse(line)?;
     let key = field_str(&obj, "key")?;
     let status = field_str(&obj, "status")?;
@@ -570,26 +540,9 @@ pub fn parse_line(line: &str) -> Result<CheckpointLine, String> {
             attempts,
             error: field_str(&obj, "error")?,
         },
-        "chunk" => return Ok(CheckpointLine::Progress { key, attempts }),
         other => return Err(format!("unknown status {other:?}")),
     };
-    Ok(CheckpointLine::Terminal(key, record))
-}
-
-/// Parses one JSONL line into its `(key, record)` pair. A well-formed
-/// progress marker is an error here — callers wanting terminal records
-/// only must not silently mistake "in flight" for a result.
-///
-/// # Errors
-///
-/// Returns a description of the malformation.
-pub fn parse_record(line: &str) -> Result<(String, PointRecord), String> {
-    match parse_line(line)? {
-        CheckpointLine::Terminal(key, record) => Ok((key, record)),
-        CheckpointLine::Progress { key, .. } => Err(format!(
-            "line is a chunk-progress marker for {key:?}, not a terminal record"
-        )),
-    }
+    Ok((key, record))
 }
 
 /// Loads a checkpoint file into a key → record map.
@@ -597,7 +550,9 @@ pub fn parse_record(line: &str) -> Result<(String, PointRecord), String> {
 /// A missing file is an empty checkpoint. A truncated or corrupt *final*
 /// line — the signature of a sweep killed mid-write — is skipped;
 /// corruption anywhere else is reported, since it means the file is not
-/// what this code wrote.
+/// what this code wrote. A line whose status is neither `"done"` nor
+/// `"failed"` (such as the `"chunk"` progress markers older sweeps wrote)
+/// counts as corrupt.
 ///
 /// # Errors
 ///
@@ -605,47 +560,6 @@ pub fn parse_record(line: &str) -> Result<(String, PointRecord), String> {
 /// [`SimError::Checkpoint`] on non-trailing corruption.
 pub fn load(path: &Path) -> Result<DetHashMap<String, PointRecord>, SimError> {
     Ok(load_lines(path)?.records)
-}
-
-/// The resume-relevant view of a checkpoint: terminal records, plus the
-/// keys whose *only* trace in the file is a `"chunk"` progress marker.
-///
-/// Such a key was mid-run when the sweep was killed (or the marker was
-/// forged — see [`load_resume`]). Either way no result exists, so the
-/// point must re-run from scratch; the harness uses the parked set to
-/// avoid appending a *second* marker for a point the checkpoint already
-/// flags as in-flight.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct ResumeState {
-    /// Terminal `key → record` outcomes, exactly as [`load`] returns.
-    pub records: DetHashMap<String, PointRecord>,
-    /// Keys with a progress marker but no terminal record by EOF, mapped
-    /// to the attempt number the (last) marker recorded. These points
-    /// were parked mid-run; they resume as fresh runs, never as results.
-    pub parked: DetHashMap<String, u32>,
-}
-
-/// Loads the full resume state of a checkpoint: terminal records *and*
-/// the parked keys — progress markers never followed by a terminal
-/// record at EOF.
-///
-/// Plain [`load`] deliberately drops the markers (a result map must not
-/// mistake "in flight" for a result), but resume paths need them: a
-/// marker whose point never finished — whether the sweep was killed or
-/// the marker was forged into the file — identifies a point that must
-/// re-run from scratch and must not be silently indistinguishable from
-/// "never started".
-///
-/// # Errors
-///
-/// Returns [`SimError::CheckpointIo`] on I/O failure and
-/// [`SimError::Checkpoint`] on non-trailing corruption.
-pub fn load_resume(path: &Path) -> Result<ResumeState, SimError> {
-    let loaded = load_lines(path)?;
-    Ok(ResumeState {
-        records: loaded.records,
-        parked: loaded.parked,
-    })
 }
 
 /// Like [`load`], but *repairs* a trailing torn record instead of merely
@@ -661,19 +575,6 @@ pub fn load_resume(path: &Path) -> Result<ResumeState, SimError> {
 /// Returns [`SimError::CheckpointIo`] on read/truncate failure and
 /// [`SimError::Checkpoint`] on non-trailing corruption.
 pub fn load_and_repair(path: &Path) -> Result<DetHashMap<String, PointRecord>, SimError> {
-    Ok(load_and_repair_resume(path)?.records)
-}
-
-/// [`load_resume`] with the torn-tail repair of [`load_and_repair`]:
-/// the resume state *and* a file safe to append to. This is what the
-/// sweep engine calls — it needs the parked set (to re-run those points
-/// without double-marking them) and will append fresh outcomes.
-///
-/// # Errors
-///
-/// Returns [`SimError::CheckpointIo`] on read/truncate failure and
-/// [`SimError::Checkpoint`] on non-trailing corruption.
-pub fn load_and_repair_resume(path: &Path) -> Result<ResumeState, SimError> {
     let loaded = load_lines(path)?;
     if let Some(tail_offset) = loaded.torn_tail_offset {
         eprintln!(
@@ -688,17 +589,13 @@ pub fn load_and_repair_resume(path: &Path) -> Result<ResumeState, SimError> {
         file.set_len(tail_offset)
             .map_err(|e| io_error(path, "truncate", &e))?;
     }
-    Ok(ResumeState {
-        records: loaded.records,
-        parked: loaded.parked,
-    })
+    Ok(loaded.records)
 }
 
 /// A parsed checkpoint plus the byte offset of a torn trailing record,
 /// when one was found.
 struct LoadedCheckpoint {
     records: DetHashMap<String, PointRecord>,
-    parked: DetHashMap<String, u32>,
     torn_tail_offset: Option<u64>,
 }
 
@@ -722,7 +619,6 @@ fn io_error(path: &Path, op: &'static str, e: &std::io::Error) -> SimError {
 fn load_lines(path: &Path) -> Result<LoadedCheckpoint, SimError> {
     let mut loaded = LoadedCheckpoint {
         records: DetHashMap::default(),
-        parked: DetHashMap::default(),
         torn_tail_offset: None,
     };
     let file = match File::open(path) {
@@ -761,21 +657,9 @@ fn load_lines(path: &Path) -> Result<LoadedCheckpoint, SimError> {
                 failed_line
             )));
         }
-        match parse_line(line) {
-            Ok(CheckpointLine::Terminal(key, record)) => {
-                // A terminal record supersedes any earlier in-flight
-                // marker for its key: the point is no longer parked.
-                loaded.parked.remove(&key);
+        match parse_record(line) {
+            Ok((key, record)) => {
                 loaded.records.insert(key, record);
-            }
-            Ok(CheckpointLine::Progress { key, attempts }) => {
-                // In-flight marker from a chunked sweep that was killed:
-                // no result exists yet, so the key is *parked* — unless a
-                // terminal record follows later in the file. A parked
-                // point re-runs from scratch; the resume loaders surface
-                // the set so the harness can tell "was mid-run" from
-                // "never started" (and avoid double-marking the file).
-                loaded.parked.insert(key, attempts);
             }
             Err(e) => pending_failure = Some((start, line_no, e)),
         }
@@ -848,22 +732,7 @@ impl Writer {
     /// full disk (`StorageFull`) or short write (`WriteZero`) from a
     /// transient error.
     pub fn append(&self, key: &str, record: &PointRecord) -> Result<(), SimError> {
-        self.append_line(render_record(key, record))
-    }
-
-    /// Appends an in-flight progress marker (see [`render_progress`]) as
-    /// a single flushed line. Callable from any thread through a shared
-    /// reference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CheckpointIo`] on I/O failure, as
-    /// [`Writer::append`] does.
-    pub fn append_progress(&self, key: &str, attempts: u32) -> Result<(), SimError> {
-        self.append_line(render_progress(key, attempts))
-    }
-
-    fn append_line(&self, mut line: String) -> Result<(), SimError> {
+        let mut line = render_record(key, record);
         line.push('\n');
         let mut file = match self.file.lock() {
             Ok(guard) => guard,
@@ -1149,82 +1018,36 @@ mod tests {
         std::fs::remove_file(&path).expect("tmp cleanup");
     }
 
+    /// A `"chunk"` progress marker, a line kind older sweeps appended for
+    /// points in flight, is an unknown status: in the middle of a file it
+    /// is corruption, reported with its line number.
     #[test]
-    fn progress_marker_round_trips_and_is_not_a_record() {
-        let line = render_progress("mcf::CAMEO", 2);
-        assert_eq!(
-            parse_line(&line).expect("rendered progress parses"),
-            CheckpointLine::Progress {
-                key: "mcf::CAMEO".into(),
-                attempts: 2
+    fn legacy_progress_marker_mid_file_is_an_error() {
+        let path =
+            std::env::temp_dir().join(format!("cameo_ckpt_marker_{}.jsonl", std::process::id()));
+        let record = |key| {
+            render_record(
+                key,
+                &PointRecord::Failed {
+                    attempts: 1,
+                    error: "e".into(),
+                },
+            )
+        };
+        let marker = r#"{"key":"a","status":"chunk","attempts":1}"#;
+        std::fs::write(
+            &path,
+            format!("{}\n{marker}\n{}\n", record("b"), record("c")),
+        )
+        .expect("tmp write");
+        let loaded = load(&path);
+        std::fs::remove_file(&path).expect("tmp cleanup");
+        match loaded {
+            Err(SimError::Checkpoint(detail)) => {
+                assert!(detail.contains("line 2: unknown status"), "{detail}");
             }
-        );
-        let err = parse_record(&line).expect_err("progress is not a terminal record");
-        assert!(err.contains("chunk-progress"), "{err}");
-    }
-
-    /// Progress markers anywhere in the file — not just the tail — are
-    /// skipped by the loaders: a killed chunked sweep leaves them behind
-    /// and its in-flight points must simply re-run.
-    #[test]
-    fn load_skips_progress_markers() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("cameo_ckpt_progress_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let writer = Writer::open(&path).expect("tmp dir is writable");
-        writer
-            .append_progress("a::x", 1)
-            .expect("progress appends like a record");
-        let rec = PointRecord::Failed {
-            attempts: 1,
-            error: "e".into(),
-        };
-        writer.append("b::y", &rec).expect("append succeeds");
-        writer
-            .append_progress("c::z", 3)
-            .expect("trailing progress marker");
-        let records = load(&path).expect("progress markers never corrupt a load");
-        assert_eq!(records.len(), 1);
-        assert_eq!(records.get("b::y"), Some(&rec));
-        assert!(
-            load_and_repair(&path)
-                .expect("repair tolerates markers too")
-                .len()
-                == 1
-        );
-        std::fs::remove_file(&path).expect("tmp cleanup");
-    }
-
-    /// The parked-resume contract: a progress marker for a key with no
-    /// terminal record by EOF surfaces in [`ResumeState::parked`], a
-    /// later terminal record un-parks its key, and [`load`] stays a
-    /// results-only view in both cases.
-    #[test]
-    fn resume_loader_parks_dangling_progress_markers() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("cameo_ckpt_parked_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let writer = Writer::open(&path).expect("tmp dir is writable");
-        writer.append_progress("dangling::x", 2).expect("marker");
-        writer.append_progress("finished::y", 1).expect("marker");
-        let rec = PointRecord::Done {
-            attempts: 1,
-            stats: Box::new(sample_stats(false)),
-        };
-        writer.append("finished::y", &rec).expect("append");
-
-        let resume = load_resume(&path).expect("markers never corrupt a load");
-        assert_eq!(resume.parked.len(), 1, "only the dangling key is parked");
-        assert_eq!(resume.parked.get("dangling::x"), Some(&2));
-        assert_eq!(resume.records.get("finished::y"), Some(&rec));
-        assert!(!resume.records.contains_key("dangling::x"));
-
-        // The repairing variant sees the same state, and the plain map
-        // view still drops markers entirely.
-        let repaired = load_and_repair_resume(&path).expect("clean file");
-        assert_eq!(repaired, resume);
-        assert_eq!(load(&path).expect("loads").len(), 1);
-        std::fs::remove_file(&path).expect("tmp cleanup");
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
     }
 
     #[test]

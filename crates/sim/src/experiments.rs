@@ -105,44 +105,6 @@ impl OrgKind {
             OrgKind::DoubleUse => "DoubleUse",
         }
     }
-
-    /// Every distinctly-labelled design point, in the figures' canonical
-    /// column order. (LLT designs other than Co-Located ignore the
-    /// predictor in their label; this list carries them with LLP.)
-    #[must_use]
-    pub fn all() -> Vec<OrgKind> {
-        let cameo = |llt, predictor| OrgKind::Cameo { llt, predictor };
-        vec![
-            OrgKind::Baseline,
-            OrgKind::AlloyCache,
-            OrgKind::LhCache,
-            OrgKind::TlmStatic,
-            OrgKind::TlmDynamic,
-            OrgKind::TlmFreq,
-            OrgKind::TlmOracle,
-            cameo(LltDesign::Ideal, PredictorKind::Llp),
-            cameo(LltDesign::Sram, PredictorKind::Llp),
-            cameo(LltDesign::Embedded, PredictorKind::Llp),
-            cameo(LltDesign::CoLocated, PredictorKind::SerialAccess),
-            OrgKind::cameo_default(),
-            cameo(LltDesign::CoLocated, PredictorKind::Perfect),
-            OrgKind::MemCache { split_percent: 25 },
-            OrgKind::MemCache { split_percent: 50 },
-            OrgKind::MemCache { split_percent: 75 },
-            OrgKind::DoubleUse,
-        ]
-    }
-
-    /// Resolves a figure label (as printed by [`OrgKind::label`],
-    /// compared case-insensitively) back to its organization — the
-    /// inverse the sweep daemon needs to accept orgs by name over the
-    /// wire.
-    #[must_use]
-    pub fn parse(label: &str) -> Option<OrgKind> {
-        OrgKind::all()
-            .into_iter()
-            .find(|kind| kind.label().eq_ignore_ascii_case(label))
-    }
 }
 
 /// Counts per-page accesses of the exact trace the timed run will replay —
@@ -349,23 +311,6 @@ mod tests {
             warmup_fraction: 0.25,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn org_labels_round_trip_through_parse() {
-        let all = OrgKind::all();
-        assert_eq!(all.len(), 17, "one entry per distinct label");
-        for kind in &all {
-            assert_eq!(
-                OrgKind::parse(kind.label()),
-                Some(*kind),
-                "label {:?} must parse back",
-                kind.label()
-            );
-        }
-        assert_eq!(OrgKind::parse("cameo"), Some(OrgKind::cameo_default()));
-        assert_eq!(OrgKind::parse("BASELINE"), Some(OrgKind::Baseline));
-        assert_eq!(OrgKind::parse("nosuch"), None);
     }
 
     #[test]

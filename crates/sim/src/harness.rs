@@ -38,11 +38,11 @@ use cameo_workloads::{BenchSpec, TraceGenerator};
 use crate::checkpoint::{self, PointRecord};
 use crate::config::SystemConfig;
 use crate::error::SimError;
-use crate::experiments::{build_org, build_org_traced, OrgKind};
+use crate::experiments::{build_org, OrgKind};
 use crate::org::MemoryOrganization;
 use crate::runner::{RunSession, Runner, SessionStatus};
 use crate::stats::RunStats;
-use crate::trace::{EpochSpillFn, SharedSink, TraceData, TraceOptions};
+use crate::trace::{SharedSink, TraceData};
 
 /// One design point of a sweep: a benchmark and an organization.
 #[derive(Clone, PartialEq, Debug)]
@@ -95,10 +95,9 @@ pub struct SweepOptions {
     pub jobs: usize,
     /// Cap each [`crate::runner::RunSession::step`] at this many post-L3
     /// accesses. The worker that claimed the point steps it chunk after
-    /// chunk until it completes; the first pause of a point also appends
-    /// an in-flight marker to the checkpoint. Results are bit-identical at
-    /// any chunk size: a chunk boundary pauses the event loop, never
-    /// reorders it. `None` (the default) runs every point in one step.
+    /// chunk until it completes. Results are bit-identical at any chunk
+    /// size: a chunk boundary pauses the event loop, never reorders it.
+    /// `None` (the default) runs every point in one step.
     pub chunk_accesses: Option<u64>,
 }
 
@@ -133,9 +132,9 @@ pub struct PointOutcome {
     /// (all attempts included; `0` for resumed points).
     pub wall_nanos: u64,
     /// The event recording of the successful attempt, when the sweep ran
-    /// through [`run_sweep_traced`]. `None` for untraced sweeps, failed
-    /// points, and resumed points (the checkpoint stores results only —
-    /// its format is unchanged by tracing).
+    /// through [`run_sweep_traced_with`] with an armed sink. `None` for
+    /// untraced sweeps, failed points, and resumed points (the checkpoint
+    /// stores results only — its format is unchanged by tracing).
     pub trace: Option<TraceData>,
 }
 
@@ -203,9 +202,10 @@ pub type OrgBuilder<'b> =
 pub type TracedBuild = (Box<dyn MemoryOrganization>, Option<SharedSink>);
 
 /// Builds the organization *and* its trace sink for one point — the
-/// builder shape every sweep path funnels through internally, exposed
-/// for sweeps whose points encode axes [`OrgKind`] alone cannot (e.g.
-/// the design-comparison sweep's device axis riding in the point key).
+/// builder shape every sweep path funnels through, taken by
+/// [`run_sweep_traced_with`] from sweeps that arm their own sinks or
+/// whose points encode axes [`OrgKind`] alone cannot (e.g. the
+/// design-comparison sweep's device axis riding in the point key).
 /// `Sync` because sweep workers call the builder concurrently.
 pub type TracedOrgBuilder<'b> = dyn Fn(&SweepPoint, &SystemConfig) -> TracedBuild + Sync + 'b;
 
@@ -227,68 +227,6 @@ pub fn run_sweep(
         let bench = cameo_workloads::by_name(&point.bench)
             .expect("run_sweep resolved the benchmark before building the organization");
         build_org(&bench, point.kind, config)
-    })
-}
-
-/// Runs a sweep with event tracing armed: each point's organization is
-/// built through [`build_org_traced`] with a fresh [`SharedSink`] per
-/// attempt (so a retried point never double-counts events), and the
-/// recording of the successful attempt lands on
-/// [`PointOutcome::trace`].
-///
-/// The simulated results are bit-identical to [`run_sweep`] — the report
-/// compares equal, and the checkpoint format is unchanged (resumed
-/// points simply carry no recording). Organizations without emission
-/// sites (Baseline, LH-Cache, DoubleUse) run untraced and produce empty
-/// recordings.
-///
-/// # Errors
-///
-/// Returns [`SimError::Checkpoint`] on checkpoint I/O failure. Per-point
-/// failures do *not* abort the sweep; they are recorded in the report.
-pub fn run_sweep_traced(
-    points: &[SweepPoint],
-    opts: &SweepOptions,
-    checkpoint_path: Option<&Path>,
-    trace_opts: TraceOptions,
-) -> Result<SweepReport, SimError> {
-    run_sweep_traced_spilling(points, opts, checkpoint_path, trace_opts, &|_| None)
-}
-
-/// Per-point epoch-spill factory for [`run_sweep_traced_spilling`].
-///
-/// Called once per *attempt*, so a retried point gets a fresh hook and a
-/// truncating writer never mixes two attempts' epochs. `Sync` because
-/// sweep workers build points concurrently. Returning `None` arms a
-/// plain (non-spilling) sink for that point.
-pub type EpochSpillFactory<'b> = dyn Fn(&SweepPoint) -> Option<EpochSpillFn> + Sync + 'b;
-
-/// [`run_sweep_traced`], with each point's sink armed to stream epochs
-/// evicted from the bounded retention ring (see
-/// [`crate::trace::EpochSeries`]) through the hook `spill` hands out.
-/// This is the flat-memory path for paper-scale runs: the epoch series
-/// reaches disk incrementally instead of accumulating per point.
-///
-/// # Errors
-///
-/// Returns [`SimError::Checkpoint`] on checkpoint I/O failure. Per-point
-/// failures do *not* abort the sweep; they are recorded in the report.
-pub fn run_sweep_traced_spilling(
-    points: &[SweepPoint],
-    opts: &SweepOptions,
-    checkpoint_path: Option<&Path>,
-    trace_opts: TraceOptions,
-    spill: &EpochSpillFactory<'_>,
-) -> Result<SweepReport, SimError> {
-    run_sweep_inner(points, opts, checkpoint_path, &|point, config| {
-        let bench = cameo_workloads::by_name(&point.bench)
-            .expect("run_sweep resolved the benchmark before building the organization");
-        let sink = match spill(point) {
-            Some(hook) => SharedSink::with_spill(trace_opts, hook),
-            None => SharedSink::new(trace_opts),
-        };
-        let org = build_org_traced(&bench, point.kind, config, sink.clone());
-        (org, Some(sink))
     })
 }
 
@@ -314,18 +252,28 @@ pub fn run_sweep_with(
     checkpoint_path: Option<&Path>,
     build: &OrgBuilder<'_>,
 ) -> Result<SweepReport, SimError> {
-    run_sweep_inner(points, opts, checkpoint_path, &|point, config| {
+    run_sweep_traced_with(points, opts, checkpoint_path, &|point, config| {
         (build(point, config), None)
     })
 }
 
 /// Runs a sweep with a caller-provided *traced* builder: the caller
 /// constructs both the organization and (optionally) the armed
-/// [`SharedSink`] it emits into, so one sweep can vary axes the
-/// [`OrgKind`] enum does not encode — the design-comparison sweep
-/// builds its points per `(organization, device model)` pair from the
-/// point key. Recordings of successful fresh points land on
-/// [`PointOutcome::trace`] exactly as in [`run_sweep_traced`].
+/// [`SharedSink`] it emits into, so the sink's options, and any hook
+/// that streams evicted epochs to disk
+/// ([`SharedSink::with_spill`]), are the builder's choice, as are axes
+/// the [`OrgKind`] enum does not encode (the device model of a
+/// design-comparison point). The builder runs once per attempt, so each
+/// attempt records into a fresh sink, and the recording of a successful
+/// fresh point lands on [`PointOutcome::trace`].
+///
+/// The simulated results are bit-identical to an untraced sweep's — the
+/// reports compare equal, and the checkpoint format is unchanged
+/// (resumed points simply carry no recording).
+///
+/// This is the sweep engine — resume lookup, work queue, crash
+/// isolation, checkpoint appends — that [`run_sweep`] and
+/// [`run_sweep_with`] call with their builders wrapped.
 ///
 /// # Errors
 ///
@@ -337,24 +285,12 @@ pub fn run_sweep_traced_with(
     checkpoint_path: Option<&Path>,
     build: &TracedOrgBuilder<'_>,
 ) -> Result<SweepReport, SimError> {
-    run_sweep_inner(points, opts, checkpoint_path, build)
-}
-
-/// The sweep engine: resume lookup, work queue, crash isolation,
-/// checkpoint appends. Both the traced and untraced public entry points
-/// land here; only the builder differs.
-fn run_sweep_inner(
-    points: &[SweepPoint],
-    opts: &SweepOptions,
-    checkpoint_path: Option<&Path>,
-    build: &TracedOrgBuilder<'_>,
-) -> Result<SweepReport, SimError> {
     // The sweep appends to the checkpoint it resumes from, so a torn
     // trailing record (killed mid-append) must be truncated away first —
     // plain `load` would leave the unterminated tail for the first fresh
     // append to corrupt.
     let resume = match checkpoint_path {
-        Some(path) => checkpoint::load_and_repair_resume(path)?,
+        Some(path) => checkpoint::load_and_repair(path)?,
         None => Default::default(),
     };
     let writer = match checkpoint_path {
@@ -367,7 +303,7 @@ fn run_sweep_inner(
     // the rest are indexed into the work queue.
     let mut slots: Vec<Option<PointOutcome>> = points
         .iter()
-        .map(|point| match resume.records.get(&point.key) {
+        .map(|point| match resume.get(&point.key) {
             Some(record @ PointRecord::Done { .. }) => Some(PointOutcome {
                 point: point.clone(),
                 record: record.clone(),
@@ -392,21 +328,12 @@ fn run_sweep_inner(
         // the deterministic `PointRecord`, excluded from golden
         // comparisons. lint: allow(wall-clock)
         let point_start = Instant::now();
-        // A point the checkpoint parks (a dangling in-flight marker,
-        // whether left by a kill or forged into the file) re-runs from
-        // scratch with fresh attempt accounting — but its marker is
-        // already on disk, so appending another would duplicate it.
-        let marker = writer
+        let (record, trace) = run_point(point, opts, build);
+        let appended = writer
             .as_ref()
-            .filter(|_| !resume.parked.contains_key(&point.key));
-        let outcome = run_point(point, opts, build, marker).and_then(|done| {
-            if let Some(writer) = &writer {
-                writer.append(&point.key, &done.0)?;
-            }
-            Ok(done)
-        });
-        match outcome {
-            Ok((record, trace)) => {
+            .map_or(Ok(()), |writer| writer.append(&point.key, &record));
+        match appended {
+            Ok(()) => {
                 let wall_nanos =
                     u64::try_from(point_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 *lock(&results[n]) = Some((record, wall_nanos, trace));
@@ -461,26 +388,19 @@ struct ActiveRun {
 /// Runs one point to its terminal record on the calling worker: up to
 /// [`SweepOptions::max_attempts`] crash-isolated attempts at the
 /// configured scale, each stepped through chunks of at most
-/// [`SweepOptions::chunk_accesses`] accesses. The first time a chunked
-/// point pauses mid-run it appends an in-flight marker through `marker`
-/// (`None` when there is no checkpoint or it already holds one), so a
-/// killed sweep's checkpoint distinguishes "was mid-run" from "never
-/// started".
-///
-/// Only a checkpoint write can fail this function; every point failure
-/// is a [`PointRecord::Failed`].
+/// [`SweepOptions::chunk_accesses`] accesses. Every point failure is a
+/// [`PointRecord::Failed`].
 fn run_point(
     point: &SweepPoint,
     opts: &SweepOptions,
     build: &TracedOrgBuilder<'_>,
-    mut marker: Option<&checkpoint::Writer>,
-) -> Result<(PointRecord, Option<TraceData>), SimError> {
+) -> (PointRecord, Option<TraceData>) {
     let bench = match cameo_workloads::require(&point.bench) {
         Ok(bench) => bench,
         Err(e) => {
             // Deterministic configuration error: retrying cannot help.
             let error = SimError::from(e).to_string();
-            return Ok((PointRecord::Failed { attempts: 1, error }, None));
+            return (PointRecord::Failed { attempts: 1, error }, None);
         }
     };
     let budget = opts.chunk_accesses.map_or(u64::MAX, |c| c.max(1));
@@ -496,20 +416,16 @@ fn run_point(
         };
         loop {
             match step_attempt(point, &mut active, opts.watchdog_cycles, budget) {
-                Ok(SessionStatus::Running) => {
-                    if let Some(writer) = marker.take() {
-                        writer.append_progress(&point.key, attempt)?;
-                    }
-                }
+                Ok(SessionStatus::Running) => {}
                 Ok(SessionStatus::Complete(stats)) => {
                     let trace = active.sink.map(|sink| sink.take());
-                    return Ok((
+                    return (
                         PointRecord::Done {
                             attempts: attempt,
                             stats,
                         },
                         trace,
-                    ));
+                    );
                 }
                 Err(e) => {
                     error = e.to_string();
@@ -518,13 +434,13 @@ fn run_point(
             }
         }
     }
-    Ok((
+    (
         PointRecord::Failed {
             attempts: max_attempts,
             error,
         },
         None,
-    ))
+    )
 }
 
 /// Crash-isolated start of one attempt: builds the organization (and
@@ -611,8 +527,10 @@ impl Drop for QuietPanics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::build_org_traced;
     use crate::org::OrgResult;
     use crate::stats::BandwidthReport;
+    use crate::trace::TraceOptions;
     use cameo_types::{Access, ByteSize, Cycle, PageAddr};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -988,8 +906,13 @@ mod tests {
             SweepPoint::new("astar", OrgKind::Baseline),
         ];
         let plain = run_sweep(&points, &quick_opts(), None).expect("no checkpoint I/O involved");
-        let traced = run_sweep_traced(&points, &quick_opts(), None, TraceOptions::default())
-            .expect("no checkpoint I/O involved");
+        let traced = run_sweep_traced_with(&points, &quick_opts(), None, &|point, config| {
+            let bench = cameo_workloads::require(&point.bench).expect("suite benchmark");
+            let sink = SharedSink::new(TraceOptions::default());
+            let org = build_org_traced(&bench, point.kind, config, sink.clone());
+            (org, Some(sink))
+        })
+        .expect("no checkpoint I/O involved");
         assert_eq!(plain, traced, "tracing must not change simulated results");
         assert!(plain.trace_of("astar::CAMEO").is_none());
         let recording = traced

@@ -29,7 +29,7 @@ pub struct MemCacheOrg<S: TraceSink = NopSink> {
     stacked: Dram,
     off_chip: Dram,
     mem_lines: u64,
-    cache_lines: u64,
+    /// One set per line of the cache region.
     directory: AlloyDirectory,
     predictor: HitPredictor,
     name: &'static str,
@@ -129,7 +129,6 @@ impl<S: TraceSink> MemCacheOrg<S> {
             stacked: Dram::new(stacked_dev),
             off_chip: Dram::new(off_chip_dev),
             mem_lines: mem.lines(),
-            cache_lines: cache.lines(),
             directory: AlloyDirectory::new(cache.lines()),
             predictor: HitPredictor::new(cores, 256),
             name: split_label(split_percent),
@@ -139,18 +138,6 @@ impl<S: TraceSink> MemCacheOrg<S> {
             reads_off_chip: 0,
             sink,
         }
-    }
-
-    /// Lines in the OS-visible stacked memory region.
-    #[inline]
-    pub fn memory_region_lines(&self) -> u64 {
-        self.mem_lines
-    }
-
-    /// Lines (= direct-mapped sets) in the stacked cache region.
-    #[inline]
-    pub fn cache_region_lines(&self) -> u64 {
-        self.cache_lines
     }
 
     /// Hit rate of the cache region, `None` before any off-chip-region
@@ -241,10 +228,10 @@ impl<S: TraceSink> MemCacheOrg<S> {
     #[cfg(feature = "deep-audit")]
     fn audit(&self) {
         assert!(
-            self.directory.occupancy() as u64 <= self.cache_lines,
+            self.directory.occupancy() as u64 <= self.directory.sets(),
             "MemCache directory overflowed its cache region: {} > {}",
             self.directory.occupancy(),
-            self.cache_lines
+            self.directory.sets()
         );
         assert!(
             self.hits + self.misses <= self.reads_stacked + self.reads_off_chip,

@@ -52,8 +52,9 @@ pub struct OrgResult {
 /// Accesses carry *virtual* line addresses; the organization performs its
 /// own translation, paging, and device routing.
 ///
-/// `Send` is a supertrait: a boxed organization, like the paused
-/// [`crate::runner::RunSession`] that drives it, may move between threads.
+/// `Send` is a supertrait, so a caller may build an organization on one
+/// thread and run it on another. The sweep harness does not: each worker
+/// builds, steps and drops the organization of the point it claimed.
 pub trait MemoryOrganization: Send {
     /// Short label for reports (e.g. `"CAMEO"`, `"TLM-Dynamic"`).
     fn name(&self) -> &'static str;

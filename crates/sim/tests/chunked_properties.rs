@@ -1,12 +1,13 @@
 //! Property tests for chunked sweep execution.
 //!
-//! The work-stealing pool may split every sweep point into epoch-sized
-//! chunks ([`SweepOptions::chunk_accesses`]) and migrate the paused
-//! simulation between workers. None of that is allowed to show up in the
-//! results: for *any* combination of chunk size, worker count, and
-//! configuration seed, the assembled [`SweepReport`] and the checkpoint
-//! contents must be byte-identical to a serial, unchunked run — and a
-//! sweep killed mid-chunk must converge to the same results on resume.
+//! A worker may step the point it claimed through chunks of at most
+//! [`SweepOptions::chunk_accesses`] accesses, pausing the event loop
+//! between them, while other workers run other points. None of that is
+//! allowed to show up in the results: for *any* combination of chunk
+//! size, worker count, and configuration seed, the assembled
+//! [`SweepReport`] and the checkpoint contents must be byte-identical to
+//! a serial, unchunked run — and a killed sweep must converge to the same
+//! results on resume.
 
 use cameo_sim::checkpoint;
 use cameo_sim::experiments::OrgKind;
@@ -76,9 +77,7 @@ proptest! {
         for (outcome, point) in chunked.outcomes.iter().zip(&points) {
             prop_assert_eq!(&outcome.point.key, &point.key, "canonical order preserved");
         }
-        // The checkpoint's key → record map must replay identically; the
-        // chunked file additionally carries progress markers, which load()
-        // skips.
+        // The checkpoint's key → record map must replay identically.
         let serial_map = checkpoint::load(&serial_path).expect("serial checkpoint loads");
         let chunked_map = checkpoint::load(&chunked_path).expect("chunked checkpoint loads");
         prop_assert_eq!(serial_map, chunked_map);
@@ -86,10 +85,10 @@ proptest! {
         std::fs::remove_file(&chunked_path).expect("tmp cleanup");
     }
 
-    /// Kill-and-resume mid-chunk: a checkpoint left behind by a killed
-    /// chunked sweep — finished records, an in-flight point's progress
-    /// marker, even a torn half-written tail — resumes to the same stats
-    /// as an uninterrupted run.
+    /// Kill-and-resume: a checkpoint left behind by a killed sweep —
+    /// finished records, even a torn half-written tail — resumes under
+    /// chunked parallel execution to the same stats as an uninterrupted
+    /// run.
     #[test]
     fn chunked_kill_and_resume_converges(
         seed in 1u64..1000,
@@ -100,18 +99,13 @@ proptest! {
         let truth = run_sweep(&points, &opts(seed, 1, None), None)
             .expect("no checkpoint I/O involved");
 
-        // Forge the kill artifact: points 1 and 3 finished, point 0 was
-        // mid-chunk (progress marker only), point 2 never started.
+        // Forge the kill artifact: points 1 and 3 finished, points 0 and
+        // 2 did not.
         let path = scratch("kill");
         for i in [1usize, 3] {
             checkpoint::append(&path, &truth.outcomes[i].point.key, &truth.outcomes[i].record)
                 .expect("tmp dir is writable");
         }
-        let writer = checkpoint::Writer::open(&path).expect("tmp dir is writable");
-        writer
-            .append_progress(&truth.outcomes[0].point.key, 1)
-            .expect("tmp dir is writable");
-        drop(writer);
         if torn_tail {
             use std::io::Write;
             let mut file = std::fs::OpenOptions::new()
@@ -135,58 +129,4 @@ proptest! {
         }
         std::fs::remove_file(&path).expect("tmp cleanup");
     }
-}
-
-/// Regression: a checkpoint holding a progress marker for a key that
-/// never appears as a terminal record at EOF — the forged-artifact shape
-/// — must surface as a *parked* resume, not be silently accepted. The
-/// parked point re-runs from scratch to bit-identical stats, and the
-/// re-run does not append a duplicate marker for the already-marked key.
-#[test]
-fn forged_progress_marker_parks_instead_of_resuming() {
-    let points = points();
-    let truth = run_sweep(&points, &opts(99, 1, None), None).expect("no checkpoint I/O involved");
-
-    // Forge the artifact: a marker for point 0, no terminal record ever.
-    let path = scratch("forged");
-    let writer = checkpoint::Writer::open(&path).expect("tmp dir is writable");
-    writer
-        .append_progress(&points[0].key, 1)
-        .expect("tmp dir is writable");
-    drop(writer);
-
-    // The loader reports the dangling marker as parked, not as a result.
-    let state = checkpoint::load_resume(&path).expect("markers never corrupt a load");
-    assert!(state.records.is_empty(), "a marker is not a result");
-    assert_eq!(state.parked.get(points[0].key.as_str()), Some(&1));
-
-    // Resuming re-runs everything (nothing terminal exists) and the
-    // parked point converges to the uninterrupted run's stats.
-    let resumed =
-        run_sweep(&points, &opts(99, 1, Some(16)), Some(&path)).expect("checkpoint is readable");
-    assert_eq!(resumed.resumed(), 0, "a parked point never resumes as done");
-    assert_eq!(resumed.completed(), points.len());
-    for point in &points {
-        assert_eq!(
-            resumed.stats_of(&point.key),
-            truth.stats_of(&point.key),
-            "{} differs after parked re-run",
-            &point.key
-        );
-    }
-
-    // The pre-existing marker was not duplicated by the chunked re-run:
-    // exactly one marker line carries point 0's key.
-    let text = std::fs::read_to_string(&path).expect("tmp readable");
-    let markers = text
-        .lines()
-        .filter(|line| {
-            matches!(
-                checkpoint::parse_line(line),
-                Ok(checkpoint::CheckpointLine::Progress { ref key, .. }) if *key == points[0].key
-            )
-        })
-        .count();
-    assert_eq!(markers, 1, "parked key must not be double-marked");
-    std::fs::remove_file(&path).expect("tmp cleanup");
 }

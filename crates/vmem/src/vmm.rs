@@ -269,12 +269,6 @@ impl Vmm {
         true
     }
 
-    /// Mutable access to the RNG shared with placement (lets policies reuse
-    /// the deterministic stream).
-    pub fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
     /// Verifies page-table ↔ frame-allocator consistency: every mapped
     /// page's frame must report that page resident, and the number of
     /// occupied frames must equal the number of mapped pages (no orphaned

@@ -198,9 +198,9 @@ mod golden {
 
     use cameo_repro::cameo::{LltDesign, PredictorKind};
     use cameo_repro::sim::checkpoint::{render_record, Json};
-    use cameo_repro::sim::experiments::OrgKind;
-    use cameo_repro::sim::harness::{run_sweep_traced, SweepOptions, SweepPoint, SweepReport};
-    use cameo_repro::sim::trace::{TraceData, TraceOptions};
+    use cameo_repro::sim::experiments::{build_org_traced, OrgKind};
+    use cameo_repro::sim::harness::{run_sweep_traced_with, SweepOptions, SweepPoint, SweepReport};
+    use cameo_repro::sim::trace::{SharedSink, TraceData, TraceOptions};
     use cameo_repro::sim::SystemConfig;
 
     /// The micro configuration shared by every golden sweep: small enough
@@ -280,8 +280,15 @@ mod golden {
             .iter()
             .map(|&kind| SweepPoint::new("mcf", kind))
             .collect();
-        let report = run_sweep_traced(&points, &opts, None, TraceOptions::default())
-            .expect("mcf resolves and the micro config is valid");
+        let report = run_sweep_traced_with(&points, &opts, None, &|point, config| {
+            let bench = cameo_repro::workloads::require(&point.bench).expect("suite benchmark");
+            let sink = SharedSink::new(TraceOptions::default());
+            (
+                build_org_traced(&bench, point.kind, config, sink.clone()),
+                Some(sink),
+            )
+        })
+        .expect("mcf resolves and the micro config is valid");
         let rendered = render_report(&report);
         let path = golden_path(name);
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
