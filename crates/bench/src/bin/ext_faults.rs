@@ -40,9 +40,78 @@ fn main() {
     std::process::exit(2);
 }
 
+/// Flags this binary adds on top of the shared `Cli` set.
+#[cfg(any(feature = "faults", test))]
+struct FaultFlags {
+    rates: Vec<u32>,
+    drop_ppm: u32,
+    delay_ppm: u32,
+    checkpoint: Option<std::path::PathBuf>,
+    explicit_bench: bool,
+    rest: Vec<String>,
+}
+
+/// Splits this binary's flags off `args`, passing the rest through for
+/// `Cli::from_args`.
+///
+/// # Errors
+///
+/// Returns `"<flag>: <reason>"` for a missing value or one that does not
+/// parse, as `Cli::from_args` does for the shared flags.
+#[cfg(any(feature = "faults", test))]
+fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<FaultFlags, String> {
+    use cameo_bench::flag_value;
+
+    let mut flags = FaultFlags {
+        rates: vec![0, 100, 1_000, 10_000],
+        drop_ppm: 0,
+        delay_ppm: 0,
+        checkpoint: None,
+        explicit_bench: false,
+        rest: Vec::new(),
+    };
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--rates" => {
+                let list: String = flag_value(&mut it, &arg)?;
+                flags.rates = list
+                    .split(',')
+                    .map(|rate| {
+                        let rate = rate.trim();
+                        rate.parse()
+                            .map_err(|e| format!("--rates: invalid value {rate:?} ({e})"))
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            "--drop-ppm" => flags.drop_ppm = flag_value(&mut it, &arg)?,
+            "--delay-ppm" => flags.delay_ppm = flag_value(&mut it, &arg)?,
+            "--checkpoint" => flags.checkpoint = Some(flag_value(&mut it, &arg)?),
+            "--help" | "-h" => {
+                println!(
+                    "flags: --rates A,B,C --drop-ppm N --delay-ppm N --checkpoint PATH\n\
+                     plus the shared set: --scale N --cores N --instructions N --seed N \
+                     --mlp N --bench NAME (repeatable) --jobs N --quick --csv"
+                );
+                std::process::exit(0);
+            }
+            _ => {
+                if arg == "--bench" {
+                    flags.explicit_bench = true;
+                }
+                flags.rest.push(arg);
+            }
+        }
+    }
+    // The fault-free reference row every delta is computed against.
+    if !flags.rates.contains(&0) {
+        flags.rates.insert(0, 0);
+    }
+    Ok(flags)
+}
+
 #[cfg(feature = "faults")]
 mod faulted {
-    use std::path::PathBuf;
     use std::sync::{Arc, Mutex};
 
     use cameo::recovery::{RecoveryConfig, RecoveryStats};
@@ -56,69 +125,6 @@ mod faulted {
     use cameo_sim::SystemConfig;
     use cameo_types::{Access, ByteSize, Cycle, DetHashMap, PageAddr};
     use cameo_workloads::BenchSpec;
-
-    /// Flags this binary adds on top of the shared `Cli` set.
-    struct FaultFlags {
-        rates: Vec<u32>,
-        drop_ppm: u32,
-        delay_ppm: u32,
-        checkpoint: Option<PathBuf>,
-        explicit_bench: bool,
-        rest: Vec<String>,
-    }
-
-    fn parse_flags() -> FaultFlags {
-        let mut flags = FaultFlags {
-            rates: vec![0, 100, 1_000, 10_000],
-            drop_ppm: 0,
-            delay_ppm: 0,
-            checkpoint: None,
-            explicit_bench: false,
-            rest: Vec::new(),
-        };
-        let mut it = std::env::args().skip(1);
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-            it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--rates" => {
-                    flags.rates = need(&mut it, "--rates")
-                        .split(',')
-                        .map(|r| r.trim().parse().expect("--rates takes ppm integers"))
-                        .collect();
-                }
-                "--drop-ppm" => {
-                    flags.drop_ppm = need(&mut it, "--drop-ppm").parse().expect("--drop-ppm");
-                }
-                "--delay-ppm" => {
-                    flags.delay_ppm = need(&mut it, "--delay-ppm").parse().expect("--delay-ppm");
-                }
-                "--checkpoint" => {
-                    flags.checkpoint = Some(PathBuf::from(need(&mut it, "--checkpoint")));
-                }
-                "--help" | "-h" => {
-                    println!(
-                        "flags: --rates A,B,C --drop-ppm N --delay-ppm N --checkpoint PATH\n\
-                         plus the shared set: --scale N --cores N --instructions N --seed N \
-                         --mlp N --bench NAME (repeatable) --jobs N --quick --csv"
-                    );
-                    std::process::exit(0);
-                }
-                _ => {
-                    if arg == "--bench" {
-                        flags.explicit_bench = true;
-                    }
-                    flags.rest.push(arg);
-                }
-            }
-        }
-        // The fault-free reference row every delta is computed against.
-        if !flags.rates.contains(&0) {
-            flags.rates.insert(0, 0);
-        }
-        flags
-    }
 
     /// Recovery/fault counters harvested from a point's controller after
     /// its run — the harness owns and drops the organization, so the
@@ -202,7 +208,8 @@ mod faulted {
 
     /// Entry point of the feature-gated binary (see the module docs).
     pub fn main() {
-        let flags = parse_flags();
+        let flags =
+            super::parse_flags(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
         let cli = Cli::from_args(flags.rest.clone()).unwrap_or_else(|e| usage_error(&e));
         print_header("Extension — metadata faults × recovery policy", &cli);
         // The grid is rates × policies; default to one benchmark so the
@@ -344,6 +351,61 @@ mod faulted {
                  resume without recomputing finished points.",
                 path.display()
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flags;
+
+    fn parse(s: &str) -> Result<super::FaultFlags, String> {
+        parse_flags(s.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn own_flags_parse_and_pass_the_rest_through() {
+        let flags =
+            parse("--rates 100,1000 --drop-ppm 5 --delay-ppm 7 --checkpoint f.ckpt --quick")
+                .expect("valid flags");
+        // The fault-free reference row is always swept.
+        assert_eq!(flags.rates, vec![0, 100, 1000]);
+        assert_eq!((flags.drop_ppm, flags.delay_ppm), (5, 7));
+        assert_eq!(
+            flags.checkpoint.as_deref(),
+            Some(std::path::Path::new("f.ckpt"))
+        );
+        assert_eq!(flags.rest, vec!["--quick"]);
+        assert!(!flags.explicit_bench);
+    }
+
+    #[test]
+    fn malformed_rates_are_an_error() {
+        let err = parse("--rates x").err().expect("x is not a rate");
+        assert!(err.starts_with("--rates: invalid value \"x\""), "{err}");
+        let err = parse("--rates 0,,10").err().expect("an empty rate");
+        assert!(err.starts_with("--rates: invalid value \"\""), "{err}");
+    }
+
+    #[test]
+    fn malformed_ppm_values_are_errors() {
+        let err = parse("--drop-ppm lots").err().expect("not a number");
+        assert!(
+            err.starts_with("--drop-ppm: invalid value \"lots\""),
+            "{err}"
+        );
+        let err = parse("--delay-ppm -1").err().expect("negative");
+        assert!(
+            err.starts_with("--delay-ppm: invalid value \"-1\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn missing_values_are_errors() {
+        for flag in ["--rates", "--drop-ppm", "--delay-ppm", "--checkpoint"] {
+            let err = parse(&format!("--quick {flag}")).err().expect("no value");
+            assert_eq!(err, format!("{flag}: needs a value"));
         }
     }
 }

@@ -46,6 +46,8 @@ fn main() {
         "rss peak MiB".to_owned(),
         "B/line".to_owned(),
     ]);
+    // Only the deepest rung traces; check its path before any rung runs.
+    cli.prepare_trace_out();
     let mut last: Option<(Cli, SpeedupGrid)> = None;
     for &scale in &rungs {
         let mut rung = cli.clone();

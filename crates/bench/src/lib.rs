@@ -139,12 +139,37 @@ impl Cli {
         })
     }
 
+    /// Creates the `--trace-out` file, if the flag was given, keeping what
+    /// it holds until [`Cli::emit_trace`] writes it. A binary that traces
+    /// calls this before its first point runs ([`SpeedupGrid::collect`]
+    /// does), so a path that cannot be written stops it with
+    /// `error: --trace-out: ...` and [`usage_error`]'s status rather than
+    /// after the sweep; a binary that never traces never touches the path.
+    pub fn prepare_trace_out(&self) {
+        let Some(path) = &self.trace_out else {
+            return;
+        };
+        let created = std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(path);
+        if let Err(e) = created {
+            usage_error(&format!(
+                "--trace-out: cannot create {}: {e}",
+                path.display()
+            ));
+        }
+    }
+
     /// Writes the `--trace-out` JSONL and Chrome-trace artifacts for a
-    /// traced sweep, if the flag was given; a no-op otherwise.
+    /// traced sweep, if the flag was given; a no-op otherwise. A write
+    /// that fails anyway prints `error: --trace-out: ...` and exits with
+    /// [`usage_error`].
     pub fn emit_trace(&self, sweep_name: &str, report: &SweepReport) {
         if let Some(path) = &self.trace_out {
-            trace_export::write_trace_artifacts(path, sweep_name, report)
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+            trace_export::write_trace_artifacts(path, sweep_name, report).unwrap_or_else(|e| {
+                usage_error(&format!("--trace-out: writing {}: {e}", path.display()))
+            });
             eprintln!(
                 "[trace] wrote {} and {}",
                 path.display(),
@@ -164,7 +189,15 @@ impl Cli {
 }
 
 /// Takes the value of `flag` off the argument list and parses it.
-fn flag_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+///
+/// # Errors
+///
+/// Returns `"<flag>: needs a value"` when the list has ended, and
+/// `"<flag>: invalid value ..."` when the value does not parse.
+pub fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
@@ -287,13 +320,15 @@ impl SpeedupGrid {
     /// `--trace-out PATH` arms a recording sink per point; epochs its
     /// bounded ring evicts stream to `PATH.epochs/`
     /// ([`fullscale::epoch_spill_factory`]). The results are bit-identical
-    /// either way.
+    /// either way. A `--trace-out` file that cannot be created ends the
+    /// process through [`Cli::prepare_trace_out`] before any point runs.
     ///
     /// # Panics
     ///
     /// Panics if any point fails — figure binaries want broken points
     /// loud, not silently missing columns.
     pub fn collect<C: Into<Column> + Copy>(columns: &[C], cli: &Cli) -> Self {
+        cli.prepare_trace_out();
         let columns: Vec<Column> = columns.iter().map(|&c| c.into()).collect();
         let points = Self::points(&cli.benches, &columns);
         eprintln!(

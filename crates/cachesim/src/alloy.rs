@@ -12,7 +12,7 @@
 //! and the [`HitPredictor`] — while the organization layer in `cameo-sim`
 //! charges DRAM timing for TAD reads, fills and writebacks.
 
-use cameo_types::{CoreId, Cycle, LineAddr, TraceEvent, TraceSink};
+use cameo_types::{CoreId, Cycle, Divisor, LineAddr, TraceEvent, TraceSink};
 
 use crate::Eviction;
 
@@ -41,7 +41,9 @@ pub const TAD_BYTES: u32 = 80;
 /// ```
 #[derive(Clone, Debug)]
 pub struct AlloyDirectory {
-    sets: u64,
+    /// The set count, preprocessed for exact division: MemCache's cache
+    /// regions are rarely a power of two.
+    sets: Divisor,
     /// One packed TAD per set: 0 when empty, otherwise `tag + 1`, with
     /// [`DIRTY`] set when the line is dirty. A zeroed vector is an empty
     /// directory, so pages no fill has reached are never touched.
@@ -61,7 +63,7 @@ impl AlloyDirectory {
     pub fn new(sets: u64) -> Self {
         assert!(sets > 0, "alloy cache must have at least one set");
         Self {
-            sets,
+            sets: Divisor::new(sets),
             entries: vec![0; sets as usize],
         }
     }
@@ -69,20 +71,21 @@ impl AlloyDirectory {
     /// Number of sets (stacked data lines).
     #[inline]
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.sets.get()
     }
 
     /// Set index a line maps to — the stacked-DRAM location of its TAD.
     #[inline]
     pub fn set_of(&self, line: LineAddr) -> u64 {
-        line.raw() % self.sets
+        self.sets.remainder(line.raw())
     }
 
     /// The set `line` maps to and the packed tag (`tag + 1`, clean) it
     /// would hold there.
     #[inline]
     fn locate(&self, line: LineAddr) -> (usize, u64) {
-        (self.set_of(line) as usize, line.raw() / self.sets + 1)
+        let (tag, set) = self.sets.div_rem(line.raw());
+        (set as usize, tag + 1)
     }
 
     /// Returns whether `line` is currently resident (does not modify state).
@@ -117,7 +120,7 @@ impl AlloyDirectory {
             "alloy tag {} overflows the packed directory: memory must span fewer \
              than 2^31 - 1 times the {} cached lines",
             key - 1,
-            self.sets
+            self.sets()
         );
         let old = self.entries[set];
         self.entries[set] = key as u32 | if dirty { DIRTY } else { 0 };
@@ -125,7 +128,7 @@ impl AlloyDirectory {
         // An empty set has no victim, and re-filling the same line is not
         // an eviction.
         (old_key != 0 && old_key != key).then(|| Eviction {
-            line: LineAddr::new((old_key - 1) * self.sets + set as u64),
+            line: LineAddr::new((old_key - 1) * self.sets() + set as u64),
             dirty: old & DIRTY != 0,
         })
     }

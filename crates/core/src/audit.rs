@@ -143,7 +143,7 @@ pub fn check_llt(llt: &LineLocationTable) -> Result<(), AuditError> {
     Ok(())
 }
 
-/// Verifies the congruence round-trip `line_of(group_of(l), way_of(l)) == l`
+/// Verifies the congruence round-trip `line_of(split(l)) == l`
 /// over a deterministic sample of the line space (exhaustive when the space
 /// has at most 4096 lines).
 pub fn check_congruence(map: &CongruenceMap) -> Result<(), AuditError> {
@@ -152,8 +152,7 @@ pub fn check_congruence(map: &CongruenceMap) -> Result<(), AuditError> {
     let mut raw = 0u64;
     while raw < total {
         let line = cameo_types::LineAddr::new(raw);
-        let group = map.group_of(line);
-        let way = map.way_of(line);
+        let (group, way) = map.split(line);
         let back = map.line_of(group, way);
         if back != line {
             return Err(AuditError {

@@ -5,8 +5,11 @@
 //! (`line % N` — the paper's "bottom log2(N) bits") and a *way*
 //! (`line / N`). All lines of a group contend for the single stacked slot
 //! of that group, exactly like lines contending for a set in a cache.
+//! `N` is a run-time value and need not be a power of two, so the map
+//! divides through a precomputed [`Divisor`] rather than a hardware
+//! divide on every access.
 
-use cameo_types::LineAddr;
+use cameo_types::{Divisor, LineAddr};
 
 use crate::llt::Slot;
 
@@ -20,13 +23,12 @@ use crate::llt::Slot;
 ///
 /// let map = CongruenceMap::new(1024, 4);
 /// let line = LineAddr::new(3 * 1024 + 17);
-/// assert_eq!(map.group_of(line), 17);
-/// assert_eq!(map.way_of(line), 3);
+/// assert_eq!(map.split(line), (17, 3)); // (group, way)
 /// assert_eq!(map.line_of(17, 3), line);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CongruenceMap {
-    groups: u64,
+    groups: Divisor,
     ratio: u8,
 }
 
@@ -41,13 +43,22 @@ impl CongruenceMap {
     pub fn new(groups: u64, ratio: u8) -> Self {
         assert!(groups > 0, "need at least one congruence group");
         assert!(ratio >= 2, "ratio must be at least 2");
-        Self { groups, ratio }
+        Self {
+            groups: Divisor::new(groups),
+            ratio,
+        }
     }
 
     /// Number of congruence groups (== stacked lines).
     #[inline]
     pub fn groups(&self) -> u64 {
-        self.groups
+        self.groups.get()
+    }
+
+    /// Reduces `x` modulo the group count (`x % groups`).
+    #[inline]
+    pub fn wrap(&self, x: u64) -> u64 {
+        self.groups.remainder(x)
     }
 
     /// Lines per congruence group.
@@ -59,26 +70,21 @@ impl CongruenceMap {
     /// Total visible lines (`groups × ratio`).
     #[inline]
     pub fn total_lines(&self) -> u64 {
-        self.groups * u64::from(self.ratio)
+        self.groups() * u64::from(self.ratio)
     }
 
-    /// Congruence group of a requested line.
+    /// `(group, way)` of a requested line from one quotient: the group is
+    /// `line % groups`, the way `line / groups`.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the line is outside the visible space.
     #[inline]
-    pub fn group_of(&self, line: LineAddr) -> u64 {
+    pub fn split(&self, line: LineAddr) -> (u64, u8) {
         debug_assert!(line.raw() < self.total_lines(), "line out of space");
-        line.raw() % self.groups
-    }
-
-    /// Way (position within the group) of a requested line.
-    #[inline]
-    pub fn way_of(&self, line: LineAddr) -> u8 {
-        debug_assert!(line.raw() < self.total_lines(), "line out of space");
+        let (way, group) = self.groups.div_rem(line.raw());
         // lint: allow(addr-cast) — way = line/groups < ratio ≤ 15 (checked above)
-        (line.raw() / self.groups) as u8
+        (group, way as u8)
     }
 
     /// Reconstructs the requested line address of `(group, way)`.
@@ -88,12 +94,12 @@ impl CongruenceMap {
     /// Panics if `group` or `way` is out of range.
     #[inline]
     pub fn line_of(&self, group: u64, way: u8) -> LineAddr {
-        assert!(group < self.groups, "group out of range");
+        assert!(group < self.groups(), "group out of range");
         assert!(way < self.ratio, "way out of range");
-        let line = LineAddr::new(u64::from(way) * self.groups + group);
+        let line = LineAddr::new(u64::from(way) * self.groups() + group);
         #[cfg(feature = "deep-audit")]
         assert!(
-            self.group_of(line) == group && self.way_of(line) == way,
+            self.split(line) == (group, way),
             "deep-audit: congruence decomposition does not round-trip for \
              (group {group}, way {way})"
         );
@@ -107,7 +113,7 @@ impl CongruenceMap {
     pub fn device_line(&self, group: u64, slot: Slot) -> u64 {
         match slot.raw() {
             0 => group,
-            k => u64::from(k - 1) * self.groups + group,
+            k => u64::from(k - 1) * self.groups() + group,
         }
     }
 }
@@ -116,8 +122,9 @@ impl CongruenceMap {
 /// (31 = 32 − 1), suitable for a few adders in hardware: repeatedly add the
 /// quotient's spill until the remainder settles.
 ///
-/// Used to locate a congruence group's LEAD within the 31-LEADs-per-row
-/// co-located layout. Matches `x / 31` exactly.
+/// This is the hardware model of the LEAD index in the 31-LEADs-per-row
+/// co-located layout, and matches `x / 31` exactly; the simulator itself
+/// divides by the constant, which the compiler turns into a multiply.
 ///
 /// # Examples
 ///
@@ -151,8 +158,7 @@ mod tests {
         let map = CongruenceMap::new(128, 4);
         for raw in [0u64, 1, 127, 128, 300, 511] {
             let line = LineAddr::new(raw);
-            let g = map.group_of(line);
-            let w = map.way_of(line);
+            let (g, w) = map.split(line);
             assert_eq!(map.line_of(g, w), line);
         }
     }
@@ -164,8 +170,9 @@ mod tests {
         // Lines A, B, C, D of Figure 4 are ways 0..4 of one group.
         let a = map.line_of(2, 0);
         let b = map.line_of(2, 1);
-        assert_eq!(map.group_of(a), map.group_of(b));
-        assert_ne!(map.way_of(a), map.way_of(b));
+        let ((group_a, way_a), (group_b, way_b)) = (map.split(a), map.split(b));
+        assert_eq!(group_a, group_b);
+        assert_ne!(way_a, way_b);
     }
 
     #[test]
@@ -175,6 +182,20 @@ mod tests {
         assert_eq!(map.device_line(7, Slot::new(1)), 7); // first off-chip third
         assert_eq!(map.device_line(7, Slot::new(2)), 107);
         assert_eq!(map.device_line(7, Slot::new(3)), 207);
+    }
+
+    #[test]
+    fn split_matches_group_and_way_at_any_group_count() {
+        // MemCache splits and the tiny test machines give group counts
+        // that are not powers of two.
+        for groups in [1u64, 3, 100, 1024, 3 * 1024 + 7] {
+            let map = CongruenceMap::new(groups, 4);
+            for raw in [0, 1, groups - 1, groups, 2 * groups + 1, 4 * groups - 1] {
+                let line = LineAddr::new(raw);
+                assert_eq!(map.split(line), (raw % groups, (raw / groups) as u8));
+                assert_eq!(map.wrap(raw), raw % groups);
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@ use cameo_memsim::DramConfig;
 use cameo_types::RecoveryKind;
 use cameo_types::{Access, ByteSize, Cycle, LineAddr, MemKind, NopSink, TraceEvent, TraceSink};
 
-use crate::congruence::{div31, CongruenceMap};
+use crate::congruence::CongruenceMap;
 use crate::llp::{LineLocationPredictor, PredictionCase, PredictionCaseCounts};
 use crate::llt::{LineLocationTable, Slot};
-use crate::swap_filter::{PageActivityTable, SwapPolicy};
+use crate::swap_filter::{HotPageFilter, SwapPolicy};
 
 /// The device type the controller drives: the fault-injecting wrapper when
 /// the `faults` feature is compiled in (inert until
@@ -148,9 +148,9 @@ pub struct Cameo<S: TraceSink = NopSink> {
     stacked: Device,
     off_chip: Device,
     stats: CameoStats,
-    swap_policy: SwapPolicy,
-    page_activity: PageActivityTable,
-    accesses_since_decay: u64,
+    /// [`SwapPolicy::HotPagesOnly`]'s filter; `None` under
+    /// [`SwapPolicy::Always`], which swaps on every off-chip read.
+    hot_filter: Option<HotPageFilter>,
     #[cfg(feature = "faults")]
     recovery: crate::recovery::RecoveryState,
     #[cfg(feature = "deep-audit")]
@@ -236,13 +236,9 @@ impl<S: TraceSink> Cameo<S> {
             off_chip: Device::new(off_chip_dev),
             stats: CameoStats::default(),
             config,
-            swap_policy: SwapPolicy::Always,
+            hot_filter: None,
             #[cfg(feature = "faults")]
             recovery: crate::recovery::RecoveryState::new(crate::recovery::RecoveryConfig::none()),
-            // 64 K x 6-bit counters (48 KB) — big enough that aliasing
-            // does not make every page look hot at memory-scale footprints.
-            page_activity: PageActivityTable::new(64 * 1024),
-            accesses_since_decay: 0,
             #[cfg(feature = "deep-audit")]
             auditor: crate::audit::InvariantAuditor::sampled(),
             #[cfg(feature = "deep-audit")]
@@ -253,29 +249,29 @@ impl<S: TraceSink> Cameo<S> {
 
     /// Selects the swap policy (default [`SwapPolicy::Always`]). The
     /// frequency-filtered variant is the extension the paper sketches at
-    /// the end of Section VI-D.
+    /// the end of Section VI-D; selecting it starts its activity counters
+    /// at zero.
     pub fn set_swap_policy(&mut self, policy: SwapPolicy) {
-        self.swap_policy = policy;
+        self.hot_filter = match policy {
+            SwapPolicy::Always => None,
+            SwapPolicy::HotPagesOnly { threshold } => Some(HotPageFilter::new(threshold)),
+        };
     }
 
     /// The active swap policy.
     pub fn swap_policy(&self) -> SwapPolicy {
-        self.swap_policy
+        self.hot_filter
+            .as_ref()
+            .map_or(SwapPolicy::Always, HotPageFilter::policy)
     }
 
-    /// Records page activity and decides whether an off-chip hit on `line`
-    /// should be swapped into stacked DRAM.
+    /// Decides whether an off-chip hit on `line` should be swapped into
+    /// stacked DRAM, recording page activity when a filter reads it.
+    #[inline]
     fn should_swap(&mut self, line: LineAddr) -> bool {
-        self.accesses_since_decay += 1;
-        if self.accesses_since_decay >= 65_536 {
-            self.accesses_since_decay = 0;
-            self.page_activity.decay();
-        }
-        let count = self.page_activity.record(line);
-        match self.swap_policy {
-            SwapPolicy::Always => true,
-            SwapPolicy::HotPagesOnly { threshold } => count >= threshold,
-        }
+        self.hot_filter
+            .as_mut()
+            .is_none_or(|filter| filter.admit(line))
     }
 
     /// The configuration this controller was built with.
@@ -379,13 +375,12 @@ impl<S: TraceSink> Cameo<S> {
     /// swapped elsewhere make this an approximation of the device split,
     /// not of the total bytes).
     pub fn bulk_page_write(&mut self, now: Cycle, page_first_line: LineAddr) {
-        let group = self.map.group_of(page_first_line);
-        let way = page_first_line.raw() / self.map.groups();
+        let (group, way) = self.map.split(page_first_line);
         if way == 0 {
             self.stacked
                 .access(now, group, true, cameo_types::PAGE_BYTES as u32);
         } else {
-            let dev = (way - 1) * self.map.groups() + group;
+            let dev = u64::from(way - 1) * self.map.groups() + group;
             self.off_chip
                 .access(now, dev, true, cameo_types::PAGE_BYTES as u32);
         }
@@ -395,13 +390,12 @@ impl<S: TraceSink> Cameo<S> {
     /// eviction to storage. Same device-homing rule as
     /// [`Cameo::bulk_page_write`].
     pub fn bulk_page_read(&mut self, now: Cycle, page_first_line: LineAddr) {
-        let group = self.map.group_of(page_first_line);
-        let way = page_first_line.raw() / self.map.groups();
+        let (group, way) = self.map.split(page_first_line);
         if way == 0 {
             self.stacked
                 .access(now, group, false, cameo_types::PAGE_BYTES as u32);
         } else {
-            let dev = (way - 1) * self.map.groups() + group;
+            let dev = u64::from(way - 1) * self.map.groups() + group;
             self.off_chip
                 .access(now, dev, false, cameo_types::PAGE_BYTES as u32);
         }
@@ -424,9 +418,11 @@ impl<S: TraceSink> Cameo<S> {
 
     /// Device line of the LEAD for `group` under the co-located layout:
     /// 31 LEADs per 32-line row, via the paper's `X + X/31` fixup
-    /// (footnote 5), wrapped to the device size.
+    /// (footnote 5, modeled by [`div31`](crate::congruence::div31)),
+    /// wrapped to the device size.
+    #[inline]
     fn lead_line(&self, group: u64) -> u64 {
-        (group + div31(group)) % self.map.groups()
+        self.map.wrap(group + group / 31)
     }
 
     /// Device line of the Embedded-LLT entry for `group`: one-byte entries,
@@ -678,8 +674,8 @@ impl<S: TraceSink> Cameo<S> {
     }
 
     fn read_ideal(&mut self, now: Cycle, line: LineAddr) -> AccessResult {
-        let group = self.map.group_of(line);
-        let slot = self.llt.locate(line);
+        let (group, way) = self.map.split(line);
+        let slot = self.llt.locate_in(group, way);
         if slot.is_stacked() {
             AccessResult {
                 completion: self.stacked_data_read(now, group),
@@ -700,10 +696,10 @@ impl<S: TraceSink> Cameo<S> {
     }
 
     fn read_embedded(&mut self, now: Cycle, line: LineAddr) -> AccessResult {
-        let group = self.map.group_of(line);
+        let (group, way) = self.map.split(line);
         let table_line = self.embedded_llt_line(group);
         let lookup_done = self.meta_read(now, group, table_line, LINE_BYTES);
-        let slot = self.llt.locate(line);
+        let slot = self.llt.locate_in(group, way);
         if slot.is_stacked() {
             AccessResult {
                 completion: self.stacked_data_read(lookup_done, group),
@@ -726,11 +722,11 @@ impl<S: TraceSink> Cameo<S> {
 
     fn read_co_located(&mut self, now: Cycle, access: &Access) -> AccessResult {
         let line = access.line;
-        let group = self.map.group_of(line);
+        let (group, way) = self.map.split(line);
         let predicted = match self.config.predictor {
             PredictorKind::SerialAccess => Slot::STACKED,
             PredictorKind::Llp => self.llp.predict(access.core, access.pc),
-            PredictorKind::Perfect => self.llt.locate(line),
+            PredictorKind::Perfect => self.llt.locate_in(group, way),
         };
         // Once metadata has proven unreliable, stop trusting predictions:
         // probe stacked first like SAM and never launch parallel fetches.
@@ -755,7 +751,7 @@ impl<S: TraceSink> Cameo<S> {
         // devices, so code order does not affect timing.
         let lead = self.lead_line(group);
         let probe_done = self.meta_read(now, group, lead, LEAD_BYTES);
-        let actual = self.llt.locate(line);
+        let actual = self.llt.locate_in(group, way);
         let case = PredictionCase::classify(predicted, actual);
         self.stats.cases.record(case);
         if S::ENABLED {
@@ -817,9 +813,8 @@ impl<S: TraceSink> Cameo<S> {
     /// being evicted from the LLC is not evidence of reuse, so CAMEO does
     /// not promote on writes.
     fn write(&mut self, now: Cycle, access: &Access) -> AccessResult {
-        let line = access.line;
-        let group = self.map.group_of(line);
-        let slot = self.llt.locate(line);
+        let (group, way) = self.map.split(access.line);
+        let slot = self.llt.locate_in(group, way);
         // The write's location lookup is free training data for the LLP.
         if matches!(self.config.predictor, PredictorKind::Llp) {
             self.llp.train(access.core, access.pc, slot);
@@ -860,8 +855,7 @@ impl<S: TraceSink> Cameo<S> {
                 let probe = self.meta_read(now, group, lead, LEAD_BYTES);
                 if slot.is_stacked() {
                     (
-                        self.stacked
-                            .access(probe, self.lead_line(group), true, LEAD_BYTES),
+                        self.stacked.access(probe, lead, true, LEAD_BYTES),
                         MemKind::Stacked,
                     )
                 } else {

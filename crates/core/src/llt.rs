@@ -399,8 +399,14 @@ impl LineLocationTable {
     /// access.
     #[inline]
     pub fn locate(&self, line: LineAddr) -> Slot {
-        let group = self.map.group_of(line);
-        let way = self.map.way_of(line);
+        let (group, way) = self.map.split(line);
+        self.locate_in(group, way)
+    }
+
+    /// Physical slot of `way` in `group`: [`LineLocationTable::locate`]
+    /// for a caller that has already split the line.
+    #[inline]
+    pub fn locate_in(&self, group: u64, way: u8) -> Slot {
         Slot::new(((self.packed_of(group) >> (way * 4)) & 0xF) as u8)
     }
 
@@ -408,8 +414,7 @@ impl LineLocationTable {
     /// address of the displaced line and the off-chip slot it moved to, or
     /// `None` if `line` was already stacked-resident.
     pub fn promote(&mut self, line: LineAddr) -> Option<(LineAddr, Slot)> {
-        let group = self.map.group_of(line);
-        let way = self.map.way_of(line);
+        let (group, way) = self.map.split(line);
         let mut entry = self.entry(group);
         let (displaced_way, slot) = entry.promote(way)?;
         self.write_packed(group, entry.packed_bits());
@@ -642,14 +647,12 @@ mod tests {
         }
 
         fn locate(&self, line: LineAddr) -> Slot {
-            let group = self.map.group_of(line);
-            let way = self.map.way_of(line);
+            let (group, way) = self.map.split(line);
             Slot::new(((self.packed[group as usize] >> (way * 4)) & 0xF) as u8)
         }
 
         fn promote(&mut self, line: LineAddr) -> Option<(LineAddr, Slot)> {
-            let group = self.map.group_of(line);
-            let way = self.map.way_of(line);
+            let (group, way) = self.map.split(line);
             let mut entry = self.entry(group);
             let (displaced_way, slot) = entry.promote(way)?;
             self.packed[group as usize] = entry.packed_bits();

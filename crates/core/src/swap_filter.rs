@@ -25,6 +25,53 @@ pub enum SwapPolicy {
     },
 }
 
+/// Off-chip reads between two halvings of the activity counters.
+const DECAY_PERIOD: u64 = 65_536;
+
+/// Counters in the controller's activity table: 64 K × 6 bits (48 KB),
+/// big enough that aliasing does not make every page look hot at
+/// memory-scale footprints.
+const FILTER_ENTRIES: usize = 64 * 1024;
+
+/// The state [`SwapPolicy::HotPagesOnly`] keeps: its threshold, a
+/// page-activity table and the decay clock. [`SwapPolicy::Always`] reads
+/// no count, so a controller under it holds none of this.
+#[derive(Clone, Debug)]
+pub(crate) struct HotPageFilter {
+    threshold: u8,
+    table: PageActivityTable,
+    reads_since_decay: u64,
+}
+
+impl HotPageFilter {
+    /// An empty filter promoting pages at `threshold` accesses.
+    pub(crate) fn new(threshold: u8) -> Self {
+        Self {
+            threshold,
+            table: PageActivityTable::new(FILTER_ENTRIES),
+            reads_since_decay: 0,
+        }
+    }
+
+    /// The policy this filter implements.
+    pub(crate) fn policy(&self) -> SwapPolicy {
+        SwapPolicy::HotPagesOnly {
+            threshold: self.threshold,
+        }
+    }
+
+    /// Records one off-chip read of `line` (halving every counter once per
+    /// [`DECAY_PERIOD`] reads) and decides whether it swaps in.
+    pub(crate) fn admit(&mut self, line: LineAddr) -> bool {
+        self.reads_since_decay += 1;
+        if self.reads_since_decay >= DECAY_PERIOD {
+            self.reads_since_decay = 0;
+            self.table.decay();
+        }
+        self.table.record(line) >= self.threshold
+    }
+}
+
 /// A direct-mapped table of 6-bit page-activity counters.
 ///
 /// Aliasing is deliberate (it is a filter, not a directory): two pages

@@ -83,8 +83,7 @@ proptest! {
     ) {
         let map = CongruenceMap::new(groups, ratio);
         let line = LineAddr::new(raw % map.total_lines());
-        let g = map.group_of(line);
-        let w = map.way_of(line);
+        let (g, w) = map.split(line);
         prop_assert!(g < groups);
         prop_assert!(w < ratio);
         prop_assert_eq!(map.line_of(g, w), line);

@@ -3,7 +3,8 @@
 
 use cameo_memsim::{Dram, DramConfig};
 use cameo_types::{
-    Access, ByteSize, Cycle, NopSink, PageAddr, ServiceLocation, TraceEvent, TraceSink, PAGE_BYTES,
+    Access, ByteSize, Cycle, Divisor, NopSink, PageAddr, ServiceLocation, TraceEvent, TraceSink,
+    PAGE_BYTES,
 };
 use cameo_vmem::tlm::{DynamicMigrator, FreqMigrator, MigrationTraffic, OracleProfile};
 use cameo_vmem::{Placement, Vmm, VmmConfig};
@@ -45,6 +46,10 @@ pub struct TlmOrg<S: TraceSink = NopSink> {
     stacked: Dram,
     off_chip: Dram,
     stacked_lines: u64,
+    /// Each device's line count (at least one), preprocessed so that
+    /// wrapping a migration address onto the device takes no divide.
+    stacked_span: Divisor,
+    off_chip_span: Divisor,
     policy: TlmPolicy,
     reads_stacked: u64,
     reads_off_chip: u64,
@@ -112,6 +117,8 @@ impl<S: TraceSink> TlmOrg<S> {
             stacked: Dram::new(stacked_dev),
             off_chip: Dram::new(off_chip_dev),
             stacked_lines: stacked.lines(),
+            stacked_span: Divisor::new(stacked.lines().max(1)),
+            off_chip_span: Divisor::new(off_chip.lines().max(1)),
             policy,
             reads_stacked: 0,
             reads_off_chip: 0,
@@ -147,7 +154,7 @@ impl<S: TraceSink> TlmOrg<S> {
     /// stream right away.
     fn charge_migration_now(&mut self, now: Cycle, traffic: &MigrationTraffic, page: PageAddr) {
         self.migrated_pages += u64::from(traffic.pages_moved);
-        let stacked_line = page.first_line().raw() % self.stacked_lines.max(1);
+        let stacked_line = self.stacked_span.remainder(page.first_line().raw());
         let mut remaining = traffic.stacked_bytes;
         let mut write = true;
         while remaining > 0 {
@@ -156,8 +163,7 @@ impl<S: TraceSink> TlmOrg<S> {
             write = !write;
             remaining -= u64::from(chunk);
         }
-        let off_lines = self.vmm.config().off_chip.lines().max(1);
-        let off_line = page.first_line().raw() % off_lines;
+        let off_line = self.off_chip_span.remainder(page.first_line().raw());
         let mut remaining = traffic.off_chip_bytes;
         let mut write = false;
         while remaining > 0 {
@@ -190,15 +196,14 @@ impl<S: TraceSink> TlmOrg<S> {
         let stride = self.migration_cursor * 32;
         if self.pending_stacked_bytes > 0 {
             let chunk = self.pending_stacked_bytes.min(PAGE_BYTES as u64) as u32;
-            let line = stride % self.stacked_lines.max(1);
+            let line = self.stacked_span.remainder(stride);
             let write = self.migration_cursor.is_multiple_of(2);
             self.stacked.access(now, line, write, chunk);
             self.pending_stacked_bytes -= u64::from(chunk);
         }
         if self.pending_off_bytes > 0 {
             let chunk = self.pending_off_bytes.min(PAGE_BYTES as u64) as u32;
-            let off_lines = self.vmm.config().off_chip.lines().max(1);
-            let line = stride % off_lines;
+            let line = self.off_chip_span.remainder(stride);
             let write = self.migration_cursor % 2 == 1;
             self.off_chip.access(now, line, write, chunk);
             self.pending_off_bytes -= u64::from(chunk);

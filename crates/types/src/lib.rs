@@ -29,6 +29,7 @@ mod addr;
 mod capacity;
 mod cycle;
 mod device;
+mod divisor;
 mod events;
 mod hash;
 mod request;
@@ -39,6 +40,7 @@ pub use addr::{
 pub use capacity::ByteSize;
 pub use cycle::Cycle;
 pub use device::DeviceKind;
+pub use divisor::Divisor;
 pub use events::{NopSink, RecoveryKind, TraceEvent, TraceSink, VecSink};
 pub use hash::{DetBuildHasher, DetHashMap, DetHashSet, DetHasher, SplitMix64};
 pub use request::{Access, AccessKind, CoreId, MemKind, ServiceLocation};

@@ -7,9 +7,14 @@
 //! (reads of untouched frames see `Frame::default()` without
 //! materializing anything), and the free list stores only its deviations
 //! from the virtual initial state, so untouched address space costs
-//! nothing. Both structures reproduce the eager versions' observable
-//! behavior exactly — same RNG draws, same pop order, same victim
-//! choices — which the property tests in this module pin.
+//! nothing. Region and frame queries on the free list answer from an
+//! ordered index over those deviations, built by the first such query.
+//! Both structures reproduce the eager versions' observable behavior
+//! exactly — same RNG draws, same pop order, same victim choices — which
+//! the property tests in this module pin.
+
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cameo_types::{DetHashMap, PageAddr, PhysPageAddr};
 use rand::rngs::SmallRng;
@@ -111,26 +116,127 @@ impl FrameTable {
 /// The free-frame list, stored as its deviation from the virtual initial
 /// state `value(i) = total - 1 - i` (the eager `(0..total).rev()` list):
 /// a logical length plus a sparse override map. `swap_remove`, `push` and
-/// in-order scans reproduce the eager `Vec<u64>` exactly, so RNG-indexed
-/// draws and region scans see identical values — while a pool whose tail
-/// was never recycled stores nothing per untouched frame.
+/// the first-in-region and slot-of-frame queries reproduce the eager
+/// `Vec<u64>` and its scans exactly, so RNG-indexed draws and region
+/// queries see identical values — while a pool whose tail was never
+/// recycled stores nothing per untouched frame.
+///
+/// Every free frame appears in the list exactly once (a frame enters it
+/// only by being released from residency, and leaves it when granted), so
+/// "the slot holding frame `f`" is well defined.
 #[derive(Clone, Debug)]
 struct FreeList {
     /// Virtual initial length (the pool size).
     total: u64,
+    /// Frames below this index are stacked. In the virtual state they sit
+    /// at the list's tail, slots `total - stacked..total`.
+    stacked: u64,
     /// Logical length of the list.
     len: usize,
     /// Slots whose value differs from the virtual formula. Invariant:
     /// keys are `< len` (shrinking removes the vacated slot's override).
     overrides: DetHashMap<usize, u64>,
+    /// Ordered views of `overrides` for the region and frame queries,
+    /// built by the first such query and kept in step by every override
+    /// change after it. A pool that only ever takes random slots (the
+    /// random placement of Baseline, Cache and CAMEO) never builds it.
+    index: OnceCell<FreeIndex>,
+}
+
+/// Ordered views of a free list's overrides, answering "the first slot
+/// in list order holding a frame of a region" and "the slot holding
+/// frame `f`" in O(log n), with memory in proportion to the overrides.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct FreeIndex {
+    /// Maximal runs of consecutive overridden slots, `start -> end`
+    /// (exclusive): the first slot from some point on that still holds
+    /// its virtual value is one lookup away.
+    runs: BTreeMap<usize, usize>,
+    /// Overridden slots holding a stacked frame.
+    stacked_slots: BTreeSet<usize>,
+    /// Overridden slots holding an off-chip frame.
+    off_chip_slots: BTreeSet<usize>,
+    /// Slot of every frame held by an override.
+    slot_of: DetHashMap<u64, usize>,
+}
+
+impl FreeIndex {
+    /// Indexes the overrides; the map's iteration order cannot matter,
+    /// as every view is ordered or keyed.
+    fn build(overrides: &DetHashMap<usize, u64>, stacked: u64) -> Self {
+        let mut index = Self::default();
+        for (&slot, &frame) in overrides {
+            index.mark(slot);
+            index.file(slot, frame, stacked);
+        }
+        index
+    }
+
+    fn region_slots(&mut self, frame: u64, stacked: u64) -> &mut BTreeSet<usize> {
+        if frame < stacked {
+            &mut self.stacked_slots
+        } else {
+            &mut self.off_chip_slots
+        }
+    }
+
+    /// Records that override `slot` holds `frame`.
+    fn file(&mut self, slot: usize, frame: u64, stacked: u64) {
+        self.region_slots(frame, stacked).insert(slot);
+        self.slot_of.insert(frame, slot);
+    }
+
+    /// Forgets that override `slot` holds `frame`.
+    fn unfile(&mut self, slot: usize, frame: u64, stacked: u64) {
+        self.region_slots(frame, stacked).remove(&slot);
+        self.slot_of.remove(&frame);
+    }
+
+    /// Adds `slot` to the overridden runs, merging with its neighbours.
+    fn mark(&mut self, slot: usize) {
+        let mut start = slot;
+        if let Some((&before, &end)) = self.runs.range(..slot).next_back() {
+            if end == slot {
+                start = before;
+            }
+        }
+        let end = self.runs.remove(&(slot + 1)).unwrap_or(slot + 1);
+        self.runs.insert(start, end);
+    }
+
+    /// Removes `slot` from the overridden runs, splitting its run.
+    fn unmark(&mut self, slot: usize) {
+        let Some((&start, &end)) = self.runs.range(..=slot).next_back() else {
+            return;
+        };
+        debug_assert!(slot < end, "slot {slot} was not overridden");
+        if start == slot {
+            self.runs.remove(&start);
+        } else {
+            self.runs.insert(start, slot);
+        }
+        if slot + 1 < end {
+            self.runs.insert(slot + 1, end);
+        }
+    }
+
+    /// First slot at or after `from` without an override.
+    fn first_plain(&self, from: usize) -> usize {
+        match self.runs.range(..=from).next_back() {
+            Some((_, &end)) if end > from => end,
+            _ => from,
+        }
+    }
 }
 
 impl FreeList {
-    fn new(total: u64) -> Self {
+    fn new(total: u64, stacked: u64) -> Self {
         Self {
             total,
+            stacked,
             len: usize::try_from(total).expect("pool fits memory"),
             overrides: DetHashMap::default(),
+            index: OnceCell::new(),
         }
     }
 
@@ -161,9 +267,27 @@ impl FreeList {
     /// from the virtual formula.
     fn set(&mut self, i: usize, v: u64) {
         if v == self.total - 1 - i as u64 {
-            self.overrides.remove(&i);
-        } else {
-            self.overrides.insert(i, v);
+            self.clear(i);
+            return;
+        }
+        let old = self.overrides.insert(i, v);
+        if let Some(index) = self.index.get_mut() {
+            match old {
+                Some(old) => index.unfile(i, old, self.stacked),
+                None => index.mark(i),
+            }
+            index.file(i, v, self.stacked);
+        }
+    }
+
+    /// Drops slot `i`'s override, if any.
+    fn clear(&mut self, i: usize) {
+        let Some(old) = self.overrides.remove(&i) else {
+            return;
+        };
+        if let Some(index) = self.index.get_mut() {
+            index.unfile(i, old, self.stacked);
+            index.unmark(i);
         }
     }
 
@@ -172,12 +296,14 @@ impl FreeList {
     fn swap_remove(&mut self, i: usize) -> u64 {
         let v = self.value(i);
         let last = self.len - 1;
+        let last_val = self.value(last);
+        // Vacate the last slot first, so the moved value is never held by
+        // two overrides at once.
+        self.clear(last);
+        self.len = last;
         if i != last {
-            let last_val = self.value(last);
             self.set(i, last_val);
         }
-        self.overrides.remove(&last);
-        self.len = last;
         v
     }
 
@@ -188,14 +314,42 @@ impl FreeList {
         self.set(at, v);
     }
 
-    /// First slot (in list order) whose value satisfies `pred`.
-    fn position(&self, mut pred: impl FnMut(u64) -> bool) -> Option<usize> {
-        (0..self.len).find(|&i| pred(self.value(i)))
+    fn index(&self) -> &FreeIndex {
+        self.index
+            .get_or_init(|| FreeIndex::build(&self.overrides, self.stacked))
     }
 
-    /// First value (in list order) satisfying `pred`.
-    fn find(&self, mut pred: impl FnMut(u64) -> bool) -> Option<u64> {
-        (0..self.len).map(|i| self.value(i)).find(|&v| pred(v))
+    /// First slot, in list order, holding a frame of `region` (slot 0 for
+    /// `Any`). For the stacked or off-chip region it is the earlier of
+    /// the region's first override and the first slot of its virtual
+    /// range that no override hides.
+    fn first_in(&self, region: Region) -> Option<usize> {
+        if region == Region::Any {
+            return (self.len > 0).then_some(0);
+        }
+        let index = self.index();
+        // Virtual slots at or past this one hold stacked frames.
+        let stacked_from = (self.total - self.stacked) as usize;
+        let (from, end, overridden) = if region == Region::Stacked {
+            (stacked_from, self.len, &index.stacked_slots)
+        } else {
+            (0, stacked_from.min(self.len), &index.off_chip_slots)
+        };
+        let plain = Some(index.first_plain(from)).filter(|&slot| slot < end);
+        match (plain, overridden.first().copied()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Slot holding `frame`, if it is free: its virtual slot when no
+    /// override hides that slot, otherwise the override holding it.
+    fn slot_of(&self, frame: u64) -> Option<usize> {
+        let virtual_slot = (self.total - 1 - frame) as usize;
+        if virtual_slot < self.len && !self.overrides.contains_key(&virtual_slot) {
+            return Some(virtual_slot);
+        }
+        self.index().slot_of.get(&frame).copied()
     }
 }
 
@@ -241,7 +395,7 @@ impl FrameAllocator {
             // first when no region is requested — matching an OS that
             // prefers fast memory while it lasts. (The lazy list *is* this
             // ordering: its virtual initial state.)
-            free: FreeList::new(total),
+            free: FreeList::new(total, stacked_frames),
             free_stacked: usize::try_from(stacked_frames).expect("pool fits memory"),
             clock_hand: 0,
         }
@@ -370,7 +524,7 @@ impl FrameAllocator {
             return false;
         }
         // Remove from the free list.
-        if let Some(pos) = self.free.position(|f| f == frame.0) {
+        if let Some(pos) = self.free.slot_of(frame.0) {
             self.remove_free(pos);
         }
         *self.frames.get_mut(idx) = Frame {
@@ -387,14 +541,8 @@ impl FrameAllocator {
         if self.free_in(region) == 0 {
             return None;
         }
-        let stacked = self.stacked_frames;
-        self.free
-            .find(|f| match region {
-                Region::Any => true,
-                Region::Stacked => f < stacked,
-                Region::OffChip => f >= stacked,
-            })
-            .map(FrameId)
+        let slot = self.free.first_in(region)?;
+        Some(FrameId(self.free.value(slot)))
     }
 
     /// Free frames in `region`.
@@ -411,13 +559,11 @@ impl FrameAllocator {
         if self.free_in(region) == 0 {
             return None;
         }
-        let stacked = self.stacked_frames;
         let pos = match region {
             // Random placement across the whole pool (TLM-Static's
             // locality-oblivious mapping).
             Region::Any => rng.gen_range(0..self.free.len()),
-            Region::Stacked => self.free.position(|f| f < stacked)?,
-            Region::OffChip => self.free.position(|f| f >= stacked)?,
+            Region::Stacked | Region::OffChip => self.free.first_in(region)?,
         };
         Some(self.remove_free(pos))
     }
@@ -762,15 +908,20 @@ mod tests {
         /// arbitrary operation sequences driven by the *same* RNG stream:
         /// identical frames granted, victims evicted, free counts, dirty
         /// bits and per-frame residency — the bit-identical-goldens
-        /// requirement in miniature.
+        /// requirement in miniature. Pools of up to a few hundred frames
+        /// give the free-list index long override runs to merge and
+        /// split. The pool's own index is built by the first region query
+        /// and kept in step after it; every 16 steps a clone whose index
+        /// is first built then, over the overrides that already exist,
+        /// must answer the same region and frame queries.
         #[test]
         fn lazy_pool_matches_eager_pool(
             seed in 0u64..1000,
-            stacked in 1u64..12,
-            off_chip in 1u64..36,
+            stacked in 1u64..160,
+            off_chip in 1u64..480,
             ops in proptest::collection::vec(
-                (0u8..6, 0u64..64, proptest::prelude::any::<bool>()),
-                0..120,
+                (0u8..6, 0u64..1024, proptest::prelude::any::<bool>()),
+                0..600,
             ),
         ) {
             let mut lazy = FrameAllocator::new(stacked, off_chip);
@@ -778,7 +929,7 @@ mod tests {
             let mut lazy_rng = SmallRng::seed_from_u64(seed);
             let mut eager_rng = SmallRng::seed_from_u64(seed);
             let total = stacked + off_chip;
-            for (op, n, flag) in ops {
+            for (step, (op, n, flag)) in ops.into_iter().enumerate() {
                 match op {
                     0..=2 => {
                         // take dominates: exercise free-pop, region scans
@@ -819,6 +970,27 @@ mod tests {
                 proptest::prop_assert_eq!(lazy.free_frames(), eager.free.len());
                 for region in [Region::Any, Region::Stacked, Region::OffChip] {
                     proptest::prop_assert_eq!(lazy.find_free(region), eager.find_free(region));
+                }
+                if step % 16 == 0 {
+                    // The index kept in step equals one built afresh.
+                    if let Some(index) = lazy.free.index.get() {
+                        let fresh = FreeIndex::build(&lazy.free.overrides, stacked);
+                        proptest::prop_assert_eq!(index, &fresh);
+                    }
+                    // An index first built now answers as the scans do.
+                    let mut late = lazy.free.clone();
+                    late.index = OnceCell::new();
+                    let mut eager_slot = vec![None; total as usize];
+                    for (pos, &f) in eager.free.iter().enumerate() {
+                        eager_slot[f as usize] = Some(pos);
+                    }
+                    for f in 0..total {
+                        proptest::prop_assert_eq!(late.slot_of(f), eager_slot[f as usize], "slot of frame {}", f);
+                    }
+                    for region in [Region::Stacked, Region::OffChip] {
+                        let want = eager.free.iter().position(|&f| (f < stacked) == (region == Region::Stacked));
+                        proptest::prop_assert_eq!(late.first_in(region), want);
+                    }
                 }
                 // A granted frame always leaves the free list.
                 for i in 0..lazy.free.len() {

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod frames;
+mod page_table;
 pub mod tlm;
 mod vmm;
 

@@ -95,6 +95,7 @@ impl MigrationTraffic {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DynamicMigrator {
+    /// Next victim frame, below the stacked frame count.
     hand: u64,
 }
 
@@ -127,9 +128,15 @@ impl DynamicMigrator {
         let stacked = vmm.frames().stacked_frames();
         debug_assert!(stacked > 0, "TLM-Dynamic requires stacked frames");
         // Round-robin victim over stacked frames; resident is guaranteed
-        // because there were no free stacked frames.
-        let victim = FrameId(self.hand % stacked);
-        self.hand += 1;
+        // because there were no free stacked frames. The hand wraps by a
+        // compare, not a divide.
+        debug_assert!(self.hand < stacked, "victim hand left the stacked region");
+        let victim = FrameId(self.hand);
+        self.hand = if self.hand + 1 >= stacked {
+            0
+        } else {
+            self.hand + 1
+        };
         vmm.swap_resident(victim, frame);
         #[cfg(feature = "deep-audit")]
         vmm.assert_consistent();

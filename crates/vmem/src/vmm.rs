@@ -1,10 +1,11 @@
 //! The virtual memory manager: page table, demand paging, fault accounting.
 
-use cameo_types::{ByteSize, DetHashMap, PageAddr, PhysPageAddr, PAGE_BYTES};
+use cameo_types::{ByteSize, PageAddr, PhysPageAddr, PAGE_BYTES};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::frames::{FrameAllocator, FrameId, Region};
+use crate::page_table::PageTable;
 
 /// Frame placement policy for newly faulted-in pages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,11 +96,9 @@ pub struct TranslateOutcome {
 pub struct Vmm {
     config: VmmConfig,
     allocator: FrameAllocator,
-    // The page table is probed on every simulated access: use the
-    // deterministic fast hasher, not SipHash. Safe because lookups are
-    // point queries — no simulated decision iterates this map (the
-    // `deep-audit` iteration in `audit_page_table` only checks invariants).
-    table: DetHashMap<PageAddr, FrameId>,
+    /// Probed on every simulated access: a radix table, with no hashing,
+    /// for the pages below 2^32 that every workload produces.
+    table: PageTable,
     rng: SmallRng,
     stats: VmmStats,
 }
@@ -109,13 +108,19 @@ impl Vmm {
     ///
     /// # Panics
     ///
-    /// Panics if total visible memory is zero pages.
+    /// Panics if total visible memory is zero pages, or more than
+    /// `u32::MAX` pages (16 TiB; the page table stores frame numbers in
+    /// 32 bits).
     pub fn new(config: VmmConfig) -> Self {
+        assert!(
+            config.stacked.pages() + config.off_chip.pages() <= u64::from(u32::MAX),
+            "visible memory exceeds u32::MAX pages"
+        );
         let allocator = FrameAllocator::new(config.stacked.pages(), config.off_chip.pages());
         Self {
             config,
             allocator,
-            table: DetHashMap::default(),
+            table: PageTable::new(),
             rng: SmallRng::seed_from_u64(config.seed),
             stats: VmmStats::default(),
         }
@@ -148,7 +153,7 @@ impl Vmm {
     /// Frame currently backing `page`, if resident.
     #[inline]
     pub fn frame_of(&self, page: PageAddr) -> Option<FrameId> {
-        self.table.get(&page).copied()
+        self.table.get(page)
     }
 
     /// Number of resident pages.
@@ -169,19 +174,13 @@ impl Vmm {
     }
 
     /// Translates a batch of virtual pages in slice order, faulting each
-    /// in if necessary, and returns the number of faults taken. Per-page
-    /// side effects (placement RNG draws, touch order, eviction choices,
-    /// counters) are identical to calling [`Vmm::translate`] on each page
-    /// in turn; the batch form exists so bulk callers — the sweep
-    /// harness's prefill transient translates every page of every core's
-    /// footprint — pay the page-table growth once up front instead of
-    /// rehashing incrementally.
+    /// in if necessary, and returns the number of faults taken — the
+    /// prefill transient translates every page of every core's footprint
+    /// this way. Per-page side effects (placement RNG draws, touch order,
+    /// eviction choices, counters) are identical to calling
+    /// [`Vmm::translate`] on each page in turn.
     pub fn translate_batch(&mut self, pages: &[PageAddr], is_write: bool) -> u64 {
         let before = self.stats.faults;
-        // Reserving for the miss-heavy case (prefill touches each page
-        // once) keeps the table from rehashing mid-batch; resident pages
-        // simply leave slack, which the next batch reuses.
-        self.table.reserve(pages.len());
         for &page in pages {
             self.translate(page, is_write);
         }
@@ -196,7 +195,7 @@ impl Vmm {
         is_write: bool,
         region: Region,
     ) -> TranslateOutcome {
-        if let Some(&frame) = self.table.get(&page) {
+        if let Some(frame) = self.table.get(page) {
             self.allocator.touch(frame, is_write);
             return TranslateOutcome {
                 phys: frame.phys_page(),
@@ -209,7 +208,7 @@ impl Vmm {
         // does not fault just because fast memory is full.
         let took = self.allocator.take(page, region, &mut self.rng);
         if let Some((victim, dirty)) = took.evicted {
-            self.table.remove(&victim);
+            self.table.remove(victim);
             if dirty {
                 self.stats.dirty_writebacks += 1;
                 self.stats.bytes_to_storage += PAGE_BYTES as u64;
@@ -254,7 +253,7 @@ impl Vmm {
     /// Returns `false` (and changes nothing) if `page` is not resident or
     /// `to` is occupied.
     pub fn move_resident(&mut self, page: PageAddr, to: FrameId) -> bool {
-        let Some(&from) = self.table.get(&page) else {
+        let Some(from) = self.table.get(page) else {
             return false;
         };
         if self.allocator.resident(to).is_some() {
@@ -275,7 +274,7 @@ impl Vmm {
     /// residents, no double mappings).
     #[cfg(feature = "deep-audit")]
     pub fn audit_page_table(&self) -> Result<(), String> {
-        for (&page, &frame) in &self.table {
+        for (page, frame) in self.table.iter() {
             let resident = self.allocator.resident(frame);
             if resident != Some(page) {
                 return Err(format!(
@@ -419,6 +418,12 @@ mod tests {
             batched.translate(PageAddr::new(99), false).frame,
             looped.translate(PageAddr::new(99), false).frame
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX pages")]
+    fn pool_beyond_u32_frame_numbers_rejected() {
+        vmm(1, u64::from(u32::MAX));
     }
 
     #[test]

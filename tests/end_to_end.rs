@@ -179,7 +179,8 @@ fn whole_suite_loads_and_classifies() {
 }
 
 /// Golden-conformance suite: micro versions of the fig09 / fig12 / fig13
-/// sweeps replayed against checked-in reference reports (`tests/golden/`).
+/// sweeps, plus the four TLM policies, replayed against checked-in
+/// reference reports (`tests/golden/`).
 ///
 /// Each golden file holds, per sweep point, the byte-exact checkpoint
 /// record (every simulated counter, rendered through the same codec the
@@ -272,15 +273,14 @@ mod golden {
             .join(name)
     }
 
-    /// Runs the micro sweep and byte-compares it against the named golden
-    /// (or rewrites the golden under `UPDATE_GOLDEN=1`).
-    fn check_golden(name: &str, kinds: &[OrgKind]) {
-        let opts = micro();
+    /// Runs the sweep of `bench` under `opts` and byte-compares it against
+    /// the named golden (or rewrites the golden under `UPDATE_GOLDEN=1`).
+    fn check_golden(name: &str, opts: &SweepOptions, bench: &str, kinds: &[OrgKind]) {
         let points: Vec<SweepPoint> = kinds
             .iter()
-            .map(|&kind| SweepPoint::new("mcf", kind))
+            .map(|&kind| SweepPoint::new(bench, kind))
             .collect();
-        let report = run_sweep_traced_with(&points, &opts, None, &|point, config| {
+        let report = run_sweep_traced_with(&points, opts, None, &|point, config| {
             let bench = cameo_repro::workloads::require(&point.bench).expect("suite benchmark");
             let sink = SharedSink::new(TraceOptions::default());
             (
@@ -288,7 +288,7 @@ mod golden {
                 Some(sink),
             )
         })
-        .expect("mcf resolves and the micro config is valid");
+        .expect("the benchmark resolves and the micro config is valid");
         let rendered = render_report(&report);
         let path = golden_path(name);
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -327,6 +327,8 @@ mod golden {
     fn golden_fig09_conformance() {
         check_golden(
             "fig09.jsonl",
+            &micro(),
+            "mcf",
             &[
                 OrgKind::Cameo {
                     llt: LltDesign::Embedded,
@@ -353,6 +355,8 @@ mod golden {
     fn golden_fig12_conformance() {
         check_golden(
             "fig12.jsonl",
+            &micro(),
+            "mcf",
             &[
                 OrgKind::Cameo {
                     llt: LltDesign::CoLocated,
@@ -375,6 +379,8 @@ mod golden {
     fn golden_fig13_conformance() {
         check_golden(
             "fig13.jsonl",
+            &micro(),
+            "mcf",
             &[
                 OrgKind::AlloyCache,
                 OrgKind::TlmStatic,
@@ -382,6 +388,38 @@ mod golden {
                 OrgKind::cameo_default(),
                 OrgKind::DoubleUse,
             ],
+        );
+    }
+
+    /// The four TLM policies on lbm, whose footprint fits memory: unlike
+    /// mcf, which fills it, lbm makes TLM-Dynamic and TLM-Freq promote
+    /// pages into free stacked frames, so this golden pins the frame
+    /// pool's free-list placements as well as the page table. The micro
+    /// run makes fewer accesses than the default TLM-Freq epoch, so the
+    /// epoch is shortened until rebalances move pages.
+    #[test]
+    fn golden_tlm_conformance() {
+        let mut opts = micro();
+        opts.config.freq_epoch = 500;
+        check_golden(
+            "tlm.jsonl",
+            &opts,
+            "lbm",
+            &[
+                OrgKind::TlmStatic,
+                OrgKind::TlmDynamic,
+                OrgKind::TlmFreq,
+                OrgKind::TlmOracle,
+            ],
+        );
+        let golden = std::fs::read_to_string(golden_path("tlm.jsonl")).expect("golden exists");
+        let freq = golden
+            .lines()
+            .find(|l| l.starts_with(r#"{"key":"lbm::TLM-Freq","status""#))
+            .expect("the golden has a TLM-Freq record");
+        assert!(
+            !freq.contains(r#""migrated_pages":0,"#),
+            "no TLM-Freq rebalance moved a page: {freq}"
         );
     }
 }
