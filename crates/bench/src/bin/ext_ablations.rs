@@ -6,7 +6,7 @@ use cameo_bench::ablations::{
     dram_stream_latency, llp_accuracy, tlm_epochs, DRAM_STREAM_INTERVAL, DRAM_STREAM_READS,
     LLP_ENTRIES, LLP_EVENTS, LLR_BITS, TLM_INSTRUCTIONS,
 };
-use cameo_bench::Cli;
+use cameo_bench::{outln, Cli};
 use cameo_memsim::{RefreshParams, RowPolicy};
 use cameo_sim::report::Table;
 
@@ -31,7 +31,7 @@ fn main() {
             format!("{:.1}", dram_stream_latency(policy, refresh)),
         ]);
     }
-    println!(
+    outln!(
         "DRAM fidelity knobs — {DRAM_STREAM_READS} consecutive-line reads of a 96 MiB \
          off-chip device, one every {DRAM_STREAM_INTERVAL} cycles\n"
     );
@@ -45,7 +45,7 @@ fn main() {
             format!("{:.1}%", llp_accuracy(entries) * 100.0),
         ]);
     }
-    println!(
+    outln!(
         "\nLLP table size — {LLP_EVENTS} omnetpp misses through one CAMEO core \
          (4 MiB stacked, 12 MiB off-chip, Co-Located LLT)\n"
     );
@@ -59,7 +59,7 @@ fn main() {
             row.migrated_pages.to_string(),
         ]);
     }
-    println!(
+    outln!(
         "\nTLM-Freq epoch — xalancbmk, scale 1/512, 2 cores x {TLM_INSTRUCTIONS} \
          instructions, speedup over Baseline\n"
     );

@@ -12,20 +12,20 @@
 //! stacked die reorders the podium.
 
 use cameo_bench::designs::{self, designs};
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 
 fn main() {
     let cli = Cli::parse();
     print_header("Extension — design comparison (org x device)", &cli);
     let grid = SpeedupGrid::collect(&designs(), &cli);
-    println!("Design matrix — speedup over flat off-chip baseline\n");
+    outln!("Design matrix — speedup over flat off-chip baseline\n");
     cli.emit(&designs::speedup_table(&grid));
-    println!("\nRanked by Gmean ALL\n");
+    outln!("\nRanked by Gmean ALL\n");
     cli.emit(&designs::ranking_table(&grid));
-    println!("\nMemCache split preference (measured vs Table II prediction)\n");
+    outln!("\nMemCache split preference (measured vs Table II prediction)\n");
     cli.emit(&designs::split_preference_table(&grid));
     cli.emit_trace("ext_designs", &grid.report);
-    println!(
+    outln!(
         "MemCache trades cache capacity for OS-visible memory: large\n\
          splits help capacity-limited rows, small splits the latency-\n\
          limited ones. TL-DRAM tiers only 1/16 of each bank's rows, so\n\

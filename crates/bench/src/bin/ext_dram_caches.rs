@@ -8,7 +8,7 @@
 //! but never wastes a probe on misses and resists conflicts with 29 ways;
 //! Alloy is fastest on hits but conflict-prone; CAMEO adds the capacity.
 
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 
 fn main() {
@@ -20,13 +20,13 @@ fn main() {
         OrgKind::cameo_default(),
     ];
     let grid = SpeedupGrid::collect(&kinds, &cli);
-    println!("DRAM cache designs — speedup over baseline\n");
+    outln!("DRAM cache designs — speedup over baseline\n");
     cli.emit(&grid.speedup_table());
     if !cli.csv {
-        println!("\nGmean ALL:\n{}", grid.gmean_chart());
+        outln!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
     cli.emit_trace("ext_dram_caches", &grid.report);
-    println!(
+    outln!(
         "Alloy's MICRO-2012 claim — a direct-mapped TAD cache beats the\n\
          set-associative tags-in-row design on latency — should reproduce\n\
          on the latency-limited rows; CAMEO adds the capacity wins on top."

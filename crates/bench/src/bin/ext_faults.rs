@@ -60,7 +60,7 @@ struct FaultFlags {
 /// parse, as `Cli::from_args` does for the shared flags.
 #[cfg(any(feature = "faults", test))]
 fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<FaultFlags, String> {
-    use cameo_bench::flag_value;
+    use cameo_bench::{flag_value, outln};
 
     let mut flags = FaultFlags {
         rates: vec![0, 100, 1_000, 10_000],
@@ -88,7 +88,7 @@ fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<FaultFlags, Str
             "--delay-ppm" => flags.delay_ppm = flag_value(&mut it, &arg)?,
             "--checkpoint" => flags.checkpoint = Some(flag_value(&mut it, &arg)?),
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "flags: --rates A,B,C --drop-ppm N --delay-ppm N --checkpoint PATH\n\
                      plus the shared set: --scale N --cores N --instructions N --seed N \
                      --mlp N --bench NAME (repeatable) --jobs N --quick --csv"
@@ -116,7 +116,7 @@ mod faulted {
 
     use cameo::recovery::{RecoveryConfig, RecoveryStats};
     use cameo::{LltDesign, PredictorKind};
-    use cameo_bench::{print_header, usage_error, Cli};
+    use cameo_bench::{outln, print_header, usage_error, Cli};
     use cameo_memsim::faults::{FaultConfig, FaultStats};
     use cameo_sim::experiments::OrgKind;
     use cameo_sim::harness::{run_sweep_with, SweepOptions, SweepPoint};
@@ -309,10 +309,10 @@ mod faulted {
                 table.row(row);
             }
         }
-        println!("Metadata faults vs. recovery policy — CPI and IPC delta vs fault-free\n");
+        outln!("Metadata faults vs. recovery policy — CPI and IPC delta vs fault-free\n");
         cli.emit(&table);
 
-        println!("\nRecovery activity (final attempt of each freshly-run point):");
+        outln!("\nRecovery activity (final attempt of each freshly-run point):");
         let reports = lock_sink(&sink);
         for point in &points {
             let Some(r) = reports.get(&point.key) else {
@@ -321,7 +321,7 @@ mod faulted {
             if r.faults.total() == 0 && r.recovery.retries == 0 {
                 continue;
             }
-            println!(
+            outln!(
                 "  {:<28} flips {} (corrected {}, escaped {})  drops {} \
                  (recovered {}, lost {})  scrubs {}{}",
                 point.key,
@@ -339,14 +339,14 @@ mod faulted {
                 },
             );
         }
-        println!(
+        outln!(
             "\n{} completed, {} failed, {} resumed from checkpoint.",
             report.completed(),
             report.failed(),
             report.resumed(),
         );
         if let Some(path) = &flags.checkpoint {
-            println!(
+            outln!(
                 "Checkpoint at {} — re-run the same command after a kill to \
                  resume without recomputing finished points.",
                 path.display()

@@ -17,7 +17,7 @@
 //! 300 k instructions, `mcf`); pass non-default values to size the slice
 //! by hand.
 
-use cameo_bench::{fullscale, print_header, Cli, SpeedupGrid};
+use cameo_bench::{fullscale, outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::report::Table;
 
 /// Formats an optional byte gauge as MiB for the ladder table.
@@ -75,18 +75,18 @@ fn main() {
         }
     }
 
-    println!("Extension — resident set down the scale ladder\n");
+    outln!("Extension — resident set down the scale ladder\n");
     cli.emit(&ladder_table);
     let (rung, grid) = last.expect("the ladder ran at least its deepest rung");
-    println!(
+    outln!(
         "\nFull-scale rung (scale 1/{}) — speedup with stacked memory\n",
         rung.config.scale
     );
     cli.emit(&grid.speedup_table());
     if !cli.csv {
-        println!("\nGmean ALL:\n{}", grid.gmean_chart());
+        outln!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
-    println!(
+    outln!(
         "\npaper machine at --scale 1: 4 GiB stacked + 12 GiB off-chip; a flat \
          resident set well under the stacked capacity is the pass condition \
          (the rss peak MiB column above)"

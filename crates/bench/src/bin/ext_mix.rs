@@ -8,7 +8,7 @@
 //! little. Cores here run *different* benchmarks (cycling through the
 //! `--bench` list, default a capacity+latency mix).
 
-use cameo_bench::{print_header, Cli};
+use cameo_bench::{outln, print_header, Cli};
 use cameo_sim::experiments::{build_org, OrgKind};
 use cameo_sim::report::Table;
 use cameo_sim::runner::{trace_configs, Runner};
@@ -56,7 +56,7 @@ fn main() {
     }
     print_header("Extension — heterogeneous mix", &cli);
     let names: Vec<&str> = cli.benches.iter().map(|b| b.name).collect();
-    println!(
+    outln!(
         "mix (assigned round-robin over {} cores): {}\n",
         cli.config.cores,
         names.join(" + ")
@@ -87,6 +87,6 @@ fn main() {
             stats.faults.to_string(),
         ]);
     }
-    println!("Heterogeneous mix — speedup over the no-stacked baseline\n");
+    outln!("Heterogeneous mix — speedup over the no-stacked baseline\n");
     cli.emit(&table);
 }

@@ -11,7 +11,7 @@
 //! `--jobs` workers with results identical to a serial run.
 
 use cameo::{LltDesign, PredictorKind};
-use cameo_bench::{print_header, Cli};
+use cameo_bench::{outln, print_header, Cli};
 use cameo_sim::experiments::OrgKind;
 use cameo_sim::harness::{run_sweep_with, SweepOptions, SweepPoint};
 use cameo_sim::org::{AlloyCacheOrg, BaselineOrg, CameoOrg, MemoryOrganization};
@@ -125,12 +125,12 @@ fn main() {
         }
         table.row(row);
     }
-    println!(
+    outln!(
         "Stacked fraction sweep — total memory fixed at {total}, speedups vs a\n\
          baseline with only that split's off-chip share\n"
     );
     cli.emit(&table);
-    println!(
+    outln!(
         "\nAs the stacked share grows, a cache forfeits ever more OS-visible\n\
          capacity; CAMEO's advantage widens — the paper's core motivation."
     );

@@ -1,7 +1,7 @@
 //! Figure 2: motivation — stacked DRAM as Cache, TLM-Static, TLM-Dynamic,
 //! and the idealistic DoubleUse, relative to the no-stacked baseline.
 
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 
 fn main() {
@@ -14,13 +14,13 @@ fn main() {
         OrgKind::DoubleUse,
     ];
     let grid = SpeedupGrid::collect(&kinds, &cli);
-    println!("Figure 2 — speedup over baseline (stacked DRAM = 1/4 of total DRAM)\n");
+    outln!("Figure 2 — speedup over baseline (stacked DRAM = 1/4 of total DRAM)\n");
     cli.emit(&grid.speedup_table());
     if !cli.csv {
-        println!("\nGmean ALL:\n{}", grid.gmean_chart());
+        outln!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
     cli.emit_trace("fig02_motivation", &grid.report);
-    println!(
+    outln!(
         "\npaper gmeans (ALL): Cache 1.50x, TLM-Static 1.33x, TLM-Dynamic 1.50x, DoubleUse 1.82x"
     );
 }

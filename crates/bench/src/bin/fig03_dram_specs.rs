@@ -1,6 +1,6 @@
 //! Figure 3: DRAM capacity and bandwidth by technology (datasheet data).
 
-use cameo_bench::Cli;
+use cameo_bench::{outln, Cli};
 use cameo_memsim::specs::{stacked_bandwidth_advantage, DRAM_SPECS};
 use cameo_sim::report::Table;
 
@@ -20,9 +20,9 @@ fn main() {
             format!("{:.1}", s.bandwidth_gbs),
         ]);
     }
-    println!("Figure 3 — DRAM capacity and bandwidth (log-scale axes in the paper)\n");
+    outln!("Figure 3 — DRAM capacity and bandwidth (log-scale axes in the paper)\n");
     cli.emit(&table);
-    println!(
+    outln!(
         "\nbest stacked vs best commodity bandwidth: {:.1}x (paper: \"almost an order of magnitude\")",
         stacked_bandwidth_advantage()
     );

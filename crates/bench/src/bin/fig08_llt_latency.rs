@@ -4,7 +4,7 @@
 
 use cameo::latency_model::{latency_units, LatencyDesign};
 use cameo::{Cameo, CameoConfig, LltDesign, PredictorKind};
-use cameo_bench::Cli;
+use cameo_bench::{outln, Cli};
 use cameo_sim::report::Table;
 use cameo_types::{Access, ByteSize, CoreId, Cycle, LineAddr};
 
@@ -96,9 +96,9 @@ fn main() {
             mc,
         ]);
     }
-    println!("Figure 8 — access latency of LLT designs (single request in isolation)\n");
+    outln!("Figure 8 — access latency of LLT designs (single request in isolation)\n");
     cli.emit(&table);
-    println!(
+    outln!(
         "\nH = line resident in stacked DRAM, M = line resident off-chip.\n\
          Units use the paper's abstraction (stacked access = 1, off-chip = 2);\n\
          cycles come from the 9-9-9-36 bank/bus model."

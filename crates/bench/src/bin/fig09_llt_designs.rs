@@ -2,7 +2,7 @@
 //! Co-Located), all without location prediction (serial access).
 
 use cameo::{LltDesign, PredictorKind};
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 
 fn main() {
@@ -29,11 +29,11 @@ fn main() {
         },
     ];
     let grid = SpeedupGrid::collect(&kinds, &cli);
-    println!("Figure 9 — speedup of CAMEO with different LLT designs\n");
+    outln!("Figure 9 — speedup of CAMEO with different LLT designs\n");
     cli.emit(&grid.speedup_table());
     if !cli.csv {
-        println!("\nGmean ALL:\n{}", grid.gmean_chart());
+        outln!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
     cli.emit_trace("fig09_llt_designs", &grid.report);
-    println!("\npaper gmeans (ALL): Embedded-LLT lower, Co-Located 1.74x, Ideal-LLT 1.80x");
+    outln!("\npaper gmeans (ALL): Embedded-LLT lower, Co-Located 1.74x, Ideal-LLT 1.80x");
 }

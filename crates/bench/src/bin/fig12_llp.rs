@@ -2,7 +2,7 @@
 //! the Line Location Predictor, and a perfect predictor.
 
 use cameo::{LltDesign, PredictorKind};
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 
 fn main() {
@@ -23,11 +23,11 @@ fn main() {
         },
     ];
     let grid = SpeedupGrid::collect(&kinds, &cli);
-    println!("Figure 12 — speedup with no / LLP / perfect location prediction\n");
+    outln!("Figure 12 — speedup with no / LLP / perfect location prediction\n");
     cli.emit(&grid.speedup_table());
     if !cli.csv {
-        println!("\nGmean ALL:\n{}", grid.gmean_chart());
+        outln!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
     cli.emit_trace("fig12_llp", &grid.report);
-    println!("\npaper gmeans (ALL): SAM 1.74x, LLP 1.78x, Perfect 1.80x");
+    outln!("\npaper gmeans (ALL): SAM 1.74x, LLP 1.78x, Perfect 1.80x");
 }

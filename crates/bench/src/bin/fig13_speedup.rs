@@ -1,7 +1,7 @@
 //! Figure 13: the headline comparison — Cache, TLM-Static, TLM-Dynamic,
 //! CAMEO (Co-Located LLT + LLP) and DoubleUse over the baseline.
 
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 
 fn main() {
@@ -15,13 +15,13 @@ fn main() {
         OrgKind::DoubleUse,
     ];
     let grid = SpeedupGrid::collect(&kinds, &cli);
-    println!("Figure 13 — speedup with stacked memory\n");
+    outln!("Figure 13 — speedup with stacked memory\n");
     cli.emit(&grid.speedup_table());
     if !cli.csv {
-        println!("\nGmean ALL:\n{}", grid.gmean_chart());
+        outln!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
     cli.emit_trace("fig13_speedup", &grid.report);
-    println!(
+    outln!(
         "\npaper gmeans (ALL): Cache 1.50x, TLM-Static 1.33x, TLM-Dynamic 1.50x, \
          CAMEO 1.78x, DoubleUse 1.82x"
     );

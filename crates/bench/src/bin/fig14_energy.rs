@@ -1,6 +1,6 @@
 //! Figure 14: normalized power and energy-delay product for each design.
 
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::energy::{edp, power};
 use cameo_sim::experiments::{gmean, OrgKind};
 use cameo_sim::report::Table;
@@ -34,10 +34,10 @@ fn main() {
             format!("{:.2}x", gmean(edps).expect("benchmarks present")),
         ]);
     }
-    println!("Figure 14 — power and energy-delay product, normalized to baseline\n");
+    outln!("Figure 14 — power and energy-delay product, normalized to baseline\n");
     cli.emit(&table);
     cli.emit_trace("fig14_energy", &grid.report);
-    println!(
+    outln!(
         "\npaper (overall): power Cache +14%, CAMEO +37%, TLM-Dynamic +51%;\n\
          EDP Cache -4%, TLM-Static -21%, CAMEO -49% (lower is better)"
     );

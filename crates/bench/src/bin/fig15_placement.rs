@@ -1,7 +1,7 @@
 //! Figure 15: optimized page placement for TLM — TLM-Dynamic, TLM-Freq and
 //! the oracular TLM-Oracle versus CAMEO.
 
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 
 fn main() {
@@ -14,13 +14,13 @@ fn main() {
         OrgKind::cameo_default(),
     ];
     let grid = SpeedupGrid::collect(&kinds, &cli);
-    println!("Figure 15 — speedup from optimized page placement in TLM\n");
+    outln!("Figure 15 — speedup from optimized page placement in TLM\n");
     cli.emit(&grid.speedup_table());
     if !cli.csv {
-        println!("\nGmean ALL:\n{}", grid.gmean_chart());
+        outln!("\nGmean ALL:\n{}", grid.gmean_chart());
     }
     cli.emit_trace("fig15_placement", &grid.report);
-    println!(
+    outln!(
         "\npaper gmeans (ALL): TLM-Freq 1.61x, CAMEO 1.78x (CAMEO wins without tracking support)"
     );
 }

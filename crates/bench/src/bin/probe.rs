@@ -2,7 +2,7 @@
 //! one benchmark through the real runner and prints the demand-read latency
 //! histogram.
 
-use cameo_bench::Cli;
+use cameo_bench::{outln, Cli};
 use cameo_sim::experiments::{build_org, OrgKind};
 use cameo_sim::runner::Runner;
 
@@ -14,7 +14,7 @@ fn main() {
         let stats = Runner::new(bench, &cli.config)
             .expect("CLI configuration was validated at parse time")
             .run(org.as_mut());
-        println!(
+        outln!(
             "{} {}: reads {}, avg latency {:.0}, faults {}",
             bench.name,
             kind.label(),
@@ -24,7 +24,7 @@ fn main() {
         );
         for (k, count) in stats.latency_histogram.iter().enumerate() {
             if *count > 0 {
-                println!("  2^{k:<2} ({:>8}+ cyc): {count}", 1u64 << k);
+                outln!("  2^{k:<2} ({:>8}+ cyc): {count}", 1u64 << k);
             }
         }
     }

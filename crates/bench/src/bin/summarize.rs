@@ -13,7 +13,7 @@
 //! simulating.
 
 use cameo::llp::PredictionCase;
-use cameo_bench::{print_header, usage_error, Cli, SpeedupGrid};
+use cameo_bench::{out, outln, print_header, usage_error, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 use cameo_sim::report::{bar_chart, ratio, Table};
 use cameo_sim::RunStats;
@@ -95,8 +95,8 @@ fn trace_json_mode(path: &std::path::Path) {
             ),
         }
     }
-    println!("Epoch breakdown — {}\n", path.display());
-    print!("{}", trace_export::epoch_table(&lines));
+    outln!("Epoch breakdown — {}\n", path.display());
+    out!("{}", trace_export::epoch_table(&lines));
 }
 
 fn main() {
@@ -107,7 +107,7 @@ fn main() {
     cli.benches.truncate(1);
     let bench = cli.benches[0];
     print_header("summary", &cli);
-    println!(
+    outln!(
         "== {} ({}, L3 MPKI {}, footprint {:.1} GB full-scale) ==\n",
         bench.name,
         bench.category,
@@ -136,7 +136,7 @@ fn main() {
         .skip(1)
         .map(|(k, s)| (k.label().to_owned(), s.speedup_over(baseline)))
         .collect();
-    println!("speedup over baseline:\n{}", bar_chart(&bars, 40));
+    outln!("speedup over baseline:\n{}", bar_chart(&bars, 40));
 
     // Detail table.
     let mut table = Table::new(vec![
@@ -170,7 +170,7 @@ fn main() {
         .find(|(k, _)| matches!(k, OrgKind::Cameo { .. }))
     {
         if let Some(cases) = cameo_run.cases {
-            println!("\nCAMEO prediction cases (Table III taxonomy):");
+            outln!("\nCAMEO prediction cases (Table III taxonomy):");
             use PredictionCase::*;
             for (label, case) in [
                 (
@@ -194,17 +194,17 @@ fn main() {
                     OffChipPredictedWrong,
                 ),
             ] {
-                println!(
+                outln!(
                     "  {label:<42} {:>5.1}%",
                     cases.fraction(case).unwrap_or(0.0) * 100.0
                 );
             }
-            println!(
+            outln!(
                 "  overall accuracy: {:.1}%",
                 cases.accuracy().unwrap_or(0.0) * 100.0
             );
         }
-        println!("\nCAMEO read-latency distribution:");
-        print!("{}", latency_histogram(cameo_run));
+        outln!("\nCAMEO read-latency distribution:");
+        out!("{}", latency_histogram(cameo_run));
     }
 }

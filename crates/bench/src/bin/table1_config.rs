@@ -1,7 +1,7 @@
 //! Table I: the baseline system configuration, echoed from the live model
 //! (full scale and at the selected simulation scale).
 
-use cameo_bench::Cli;
+use cameo_bench::{outln, Cli};
 use cameo_memsim::DramConfig;
 use cameo_sim::report::Table;
 use cameo_sim::SystemConfig;
@@ -73,6 +73,6 @@ fn main() {
         "32 us (100K cycles), SSD".into(),
         format!("{} cycles", cameo_vmem::PAGE_FAULT_CYCLES),
     );
-    println!("Table I — baseline system configuration\n");
+    outln!("Table I — baseline system configuration\n");
     cli.emit(&table);
 }

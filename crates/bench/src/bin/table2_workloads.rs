@@ -1,7 +1,7 @@
 //! Table II: workload characteristics — verifies the synthetic generators
 //! hit each benchmark's configured MPKI / footprint / spatial locality.
 
-use cameo_bench::{print_header, Cli};
+use cameo_bench::{outln, print_header, Cli};
 use cameo_sim::report::Table;
 use cameo_sim::runner::trace_configs;
 use cameo_sim::SystemConfig;
@@ -58,7 +58,7 @@ fn main() {
         ]);
     }
     cli.emit(&table);
-    println!(
+    outln!(
         "\nclassification rule: Capacity-Limited iff footprint > {} baseline memory",
         SystemConfig::FULL_OFF_CHIP
     );

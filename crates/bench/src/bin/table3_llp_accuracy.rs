@@ -4,7 +4,7 @@
 use cameo::llp::PredictionCase;
 use cameo::PredictionCaseCounts;
 use cameo::{LltDesign, PredictorKind};
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 use cameo_sim::report::Table;
 
@@ -70,8 +70,8 @@ fn main() {
         acc(&llp),
         acc(&perfect),
     ]);
-    println!("Table III — accuracy of the Line Location Predictor (%)\n");
+    outln!("Table III — accuracy of the Line Location Predictor (%)\n");
     cli.emit(&table);
     cli.emit_trace("table3_llp_accuracy", &grid.report);
-    println!("\npaper: SAM 70.3 / LLP 91.7 / Perfect 100 overall accuracy");
+    outln!("\npaper: SAM 70.3 / LLP 91.7 / Perfect 100 overall accuracy");
 }

@@ -1,7 +1,7 @@
 //! Table IV: bandwidth usage in memory and storage, normalized to the
 //! baseline, averaged per workload category.
 
-use cameo_bench::{print_header, Cli, SpeedupGrid};
+use cameo_bench::{outln, print_header, Cli, SpeedupGrid};
 use cameo_sim::experiments::OrgKind;
 use cameo_sim::report::{ratio, Table};
 use cameo_workloads::Category;
@@ -83,13 +83,13 @@ fn main() {
             ratio(lat.off_chip),
         ]);
     }
-    println!(
+    outln!(
         "Table IV — bandwidth usage in memory and storage (bytes transferred,\n\
          normalized to baseline; stacked normalized to baseline off-chip)\n"
     );
     cli.emit(&table);
     cli.emit_trace("table4_bandwidth", &grid.report);
-    println!(
+    outln!(
         "\npaper: Cache 1.93/0.55/1.00 | TLM-Stat 0.26/0.74/0.78 | \
          TLM-Dyn 2.54/2.19/0.78 | CAMEO 1.89/1.07/0.79 (Capacity columns)"
     );

@@ -7,6 +7,7 @@
 //! trace_tools replay <file> [--org cameo|cache|baseline]
 //! ```
 
+use cameo_bench::outln;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
@@ -87,7 +88,7 @@ fn record(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     );
     let sink = BufWriter::new(File::create(&path)?);
     TraceWriter::record(sink, &name, &mut generator, events)?;
-    println!("recorded {events} events of {name} (scale 1/{scale}, seed {seed}) to {path}");
+    outln!("recorded {events} events of {name} (scale 1/{scale}, seed {seed}) to {path}");
     Ok(())
 }
 
@@ -98,15 +99,15 @@ fn info(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let instructions: u64 = trace.events.iter().map(|e| e.gap_instructions).sum();
     let pages: std::collections::HashSet<u64> =
         trace.events.iter().map(|e| e.line.page().raw()).collect();
-    println!("name:        {}", trace.name);
-    println!("events:      {}", trace.events.len());
-    println!("reads:       {reads}");
-    println!("writes:      {}", trace.events.len() - reads);
-    println!(
+    outln!("name:        {}", trace.name);
+    outln!("events:      {}", trace.events.len());
+    outln!("reads:       {reads}");
+    outln!("writes:      {}", trace.events.len() - reads);
+    outln!(
         "mpki:        {:.1}",
         trace.events.len() as f64 * 1000.0 / instructions.max(1) as f64
     );
-    println!(
+    outln!(
         "pages:       {} touched / {} footprint",
         pages.len(),
         trace.footprint_pages
@@ -132,7 +133,7 @@ fn replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut org = build_org(&spec, kind, &config);
     let replay: Box<dyn MissStream> = Box::new(trace.into_replay());
     let stats = Runner::new(spec, &config)?.run_with_streams(org.as_mut(), vec![replay]);
-    println!(
+    outln!(
         "{} on {}: CPI {:.2}, {} reads ({:.0}% stacked), avg latency {:.0} cycles, {} faults",
         kind.label(),
         stats.bench,

@@ -39,10 +39,42 @@ use cameo_sim::{RunStats, SystemConfig};
 use cameo_types::DeviceKind;
 use cameo_workloads::{suite, BenchSpec, Category};
 
+/// Prints to stdout through [`write_stdout`], like `print!`.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// Prints a line to stdout through [`write_stdout`], like `println!`.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 pub mod ablations;
 pub mod designs;
 pub mod fullscale;
 pub mod trace_export;
+
+/// Writes to stdout: the one route by which the figure binaries print
+/// (through [`out!`] and [`outln!`]). A reader that closed the pipe early,
+/// as `| head` does, ends the process quietly with status 0, where
+/// `print!` would panic; any other write error prints `error: stdout: ...`
+/// and exits 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Parsed command line shared by all figure binaries.
 #[derive(Clone, Debug)]
@@ -110,7 +142,7 @@ impl Cli {
                 }
                 "--csv" => csv = true,
                 "--help" | "-h" => {
-                    println!(
+                    outln!(
                         "flags: --scale N --cores N --instructions N --seed N --mlp N \
                          --bench NAME (repeatable) --jobs N --chunk N --trace-out PATH \
                          --quick --csv"
@@ -181,9 +213,9 @@ impl Cli {
     /// Prints a table in the selected format.
     pub fn emit(&self, table: &Table) {
         if self.csv {
-            print!("{}", table.to_csv());
+            out!("{}", table.to_csv());
         } else {
-            print!("{table}");
+            out!("{table}");
         }
     }
 }

@@ -12,7 +12,7 @@
 //! and the [`HitPredictor`] — while the organization layer in `cameo-sim`
 //! charges DRAM timing for TAD reads, fills and writebacks.
 
-use cameo_types::{CoreId, Cycle, Divisor, LineAddr, TraceEvent, TraceSink};
+use cameo_types::{CoreId, Cycle, Divisor, LineAddr, PackedBits, TraceEvent, TraceSink};
 
 use crate::Eviction;
 
@@ -27,13 +27,18 @@ pub const TAD_BYTES: u32 = 80;
 /// mapping CAMEO itself uses, which makes Alloy-vs-CAMEO comparisons
 /// apples-to-apples.
 ///
+/// Each set is a [`PackedBits`] field holding `tag + 1` above a dirty bit,
+/// 0 when empty, exactly as wide as the largest tag of the line space the
+/// directory fronts needs: 3 bits per set when that space is three times
+/// the cache, as on the paper's 1:3 machine.
+///
 /// # Examples
 ///
 /// ```
 /// use cameo_cachesim::alloy::AlloyDirectory;
 /// use cameo_types::LineAddr;
 ///
-/// let mut dir = AlloyDirectory::new(1024);
+/// let mut dir = AlloyDirectory::new(1024, 7 * 1024);
 /// let line = LineAddr::new(5000);
 /// assert!(!dir.probe(line)); // cold
 /// dir.fill(line, false);
@@ -44,27 +49,47 @@ pub struct AlloyDirectory {
     /// The set count, preprocessed for exact division: MemCache's cache
     /// regions are rarely a power of two.
     sets: Divisor,
-    /// One packed TAD per set: 0 when empty, otherwise `tag + 1`, with
-    /// [`DIRTY`] set when the line is dirty. A zeroed vector is an empty
-    /// directory, so pages no fill has reached are never touched.
-    entries: Vec<u32>,
+    /// Size of the line space the directory fronts: a fill of a line at or
+    /// past it is rejected, so every stored tag fits its field.
+    lines: u64,
+    /// One packed TAD per set: 0 when empty, otherwise `tag + 1` shifted
+    /// above [`DIRTY`]. The zeroed store is an empty directory, so pages
+    /// no fill has reached are never touched.
+    tads: PackedBits,
 }
 
-/// Dirty flag of a packed TAD; the low 31 bits hold `tag + 1`.
-const DIRTY: u32 = 1 << 31;
+/// Dirty flag of a packed TAD, below `tag + 1`.
+const DIRTY: u32 = 1;
+
+/// Widest `tag + 1` a set can hold: the store's 32-bit fields less the
+/// dirty bit.
+const MAX_KEY_BITS: u32 = 31;
 
 impl AlloyDirectory {
     /// Creates an empty directory with `sets` entries (one per stacked data
-    /// line).
+    /// line) in front of a space of `lines` lines: off-chip memory for
+    /// Alloy, stacked plus off-chip for DoubleUse, the off-chip region for
+    /// MemCache's cache.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is zero.
-    pub fn new(sets: u64) -> Self {
+    /// Panics if `sets` or `lines` is zero, or if a tag of the space does
+    /// not fit 31 bits (the space spans 2^31 − 1 times the cache or more).
+    pub fn new(sets: u64, lines: u64) -> Self {
         assert!(sets > 0, "alloy cache must have at least one set");
+        assert!(lines > 0, "alloy cache must front at least one line");
+        let max_key = (lines - 1) / sets + 1;
+        let key_bits = u64::BITS - max_key.leading_zeros();
+        assert!(
+            key_bits <= MAX_KEY_BITS,
+            "alloy tag {} overflows the packed directory: memory must span fewer \
+             than 2^31 - 1 times the {sets} cached lines",
+            max_key - 1,
+        );
         Self {
             sets: Divisor::new(sets),
-            entries: vec![0; sets as usize],
+            lines,
+            tads: PackedBits::new(sets, key_bits + 1),
         }
     }
 
@@ -80,27 +105,33 @@ impl AlloyDirectory {
         self.sets.remainder(line.raw())
     }
 
-    /// The set `line` maps to and the packed tag (`tag + 1`, clean) it
-    /// would hold there.
+    /// The set `line` maps to and the `tag + 1` it would hold there. A line
+    /// outside the space gets a key no set holds.
     #[inline]
-    fn locate(&self, line: LineAddr) -> (usize, u64) {
+    fn locate(&self, line: LineAddr) -> (u64, u64) {
         let (tag, set) = self.sets.div_rem(line.raw());
-        (set as usize, tag + 1)
+        (set, tag + 1)
+    }
+
+    /// `tag + 1` held by `tad` (0 for an empty set).
+    #[inline]
+    fn key_of(tad: u32) -> u64 {
+        u64::from(tad >> 1)
     }
 
     /// Returns whether `line` is currently resident (does not modify state).
     pub fn probe(&self, line: LineAddr) -> bool {
         let (set, key) = self.locate(line);
-        u64::from(self.entries[set] & !DIRTY) == key
+        Self::key_of(self.tads.get(set)) == key
     }
 
     /// Marks a resident line dirty; returns `false` if the line is absent.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
         let (set, key) = self.locate(line);
-        let entry = &mut self.entries[set];
-        let resident = u64::from(*entry & !DIRTY) == key;
+        let tad = self.tads.get(set);
+        let resident = Self::key_of(tad) == key;
         if resident {
-            *entry |= DIRTY;
+            self.tads.set(set, tad | DIRTY);
         }
         resident
     }
@@ -110,32 +141,33 @@ impl AlloyDirectory {
     ///
     /// # Panics
     ///
-    /// Panics if the line's tag does not fit the packed entry (2^31 − 1
-    /// tags): the directory is sized for memories under 2^31 − 1 times
-    /// its capacity.
+    /// Panics if `line` is outside the line space the directory was built
+    /// to front.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Eviction> {
-        let (set, key) = self.locate(line);
         assert!(
-            key < u64::from(DIRTY),
-            "alloy tag {} overflows the packed directory: memory must span fewer \
-             than 2^31 - 1 times the {} cached lines",
-            key - 1,
-            self.sets()
+            line.raw() < self.lines,
+            "alloy fill of line {line} outside the {}-line space the directory fronts",
+            self.lines
         );
-        let old = self.entries[set];
-        self.entries[set] = key as u32 | if dirty { DIRTY } else { 0 };
-        let old_key = u64::from(old & !DIRTY);
+        let (set, key) = self.locate(line);
+        let old = self.tads.get(set);
+        // The assert above bounds the key by the field width.
+        self.tads
+            .set(set, ((key as u32) << 1) | if dirty { DIRTY } else { 0 });
+        let old_key = Self::key_of(old);
         // An empty set has no victim, and re-filling the same line is not
         // an eviction.
         (old_key != 0 && old_key != key).then(|| Eviction {
-            line: LineAddr::new((old_key - 1) * self.sets() + set as u64),
+            line: LineAddr::new((old_key - 1) * self.sets() + set),
             dirty: old & DIRTY != 0,
         })
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|&&e| e != 0).count()
+        (0..self.sets())
+            .filter(|&set| self.tads.get(set) != 0)
+            .count()
     }
 
     /// Drops `line` from the cache if resident (e.g. because its physical
@@ -143,10 +175,10 @@ impl AlloyDirectory {
     /// writeback is implied — callers decide what the dirtiness means.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
         let (set, key) = self.locate(line);
-        let entry = self.entries[set];
-        (u64::from(entry & !DIRTY) == key).then(|| {
-            self.entries[set] = 0;
-            entry & DIRTY != 0
+        let tad = self.tads.get(set);
+        (Self::key_of(tad) == key).then(|| {
+            self.tads.set(set, 0);
+            tad & DIRTY != 0
         })
     }
 }
@@ -282,7 +314,7 @@ mod tests {
 
     #[test]
     fn direct_mapped_conflicts() {
-        let mut dir = AlloyDirectory::new(8);
+        let mut dir = AlloyDirectory::new(8, 64);
         let a = LineAddr::new(3);
         let b = LineAddr::new(11); // same set 3
         dir.fill(a, true);
@@ -295,7 +327,7 @@ mod tests {
 
     #[test]
     fn refill_same_line_is_not_eviction() {
-        let mut dir = AlloyDirectory::new(8);
+        let mut dir = AlloyDirectory::new(8, 64);
         let a = LineAddr::new(3);
         dir.fill(a, false);
         assert_eq!(dir.fill(a, true), None);
@@ -303,7 +335,7 @@ mod tests {
 
     #[test]
     fn mark_dirty_only_when_resident() {
-        let mut dir = AlloyDirectory::new(8);
+        let mut dir = AlloyDirectory::new(8, 64);
         let a = LineAddr::new(5);
         assert!(!dir.mark_dirty(a));
         dir.fill(a, false);
@@ -356,54 +388,94 @@ mod tests {
         }
     }
 
+    /// The packed directory agrees with the `Option` model over line
+    /// spaces whose largest `tag + 1` needs every width from 1 to 31 bits,
+    /// and its sets are exactly that width plus the dirty bit.
     #[test]
     fn packed_directory_matches_the_option_model() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
-        for sets in [1u64, 2, 3, 7, 8, 64, 1000] {
-            let mut dir = AlloyDirectory::new(sets);
-            let mut model = ModelDirectory {
-                sets,
-                entries: vec![None; sets as usize],
-            };
-            // Lines from a span of a few tags per set, so hits, conflicts
-            // and re-fills are all common; plus the largest tag that fits.
-            let top = (u64::from(DIRTY) - 2) * sets;
-            for _ in 0..20_000 {
-                let line = if rng.gen_range(0..50u32) == 0 {
-                    top + rng.gen_range(0..sets)
-                } else {
-                    rng.gen_range(0..sets * 4)
+        for key_bits in 1..=MAX_KEY_BITS {
+            for sets in [1u64, 2, 3, 7, 64, 1000] {
+                // The largest key with `key_bits` bits, reached by a space
+                // that ends anywhere inside its last tag's span of sets.
+                let max_key = (1u64 << key_bits) - 1;
+                let lines = (max_key - 1) * sets + rng.gen_range(1..=sets);
+                let mut dir = AlloyDirectory::new(sets, lines);
+                assert_eq!(dir.tads.bits(), key_bits + 1, "{lines} lines / {sets} sets");
+                let mut model = ModelDirectory {
+                    sets,
+                    entries: vec![None; sets as usize],
                 };
-                let addr = LineAddr::new(line);
-                match rng.gen_range(0..4u32) {
-                    0 => assert_eq!(dir.probe(addr), model.probe(line), "probe {line}"),
-                    1 => assert_eq!(dir.mark_dirty(addr), model.mark_dirty(line), "mark {line}"),
-                    2 => {
-                        let dirty = rng.gen_bool(0.5);
-                        assert_eq!(
-                            dir.fill(addr, dirty),
-                            model.fill(line, dirty),
-                            "fill {line}"
-                        );
+                // Lines from a span of a few tags per set, so hits, conflicts
+                // and re-fills are all common; plus the space's last lines.
+                let low = lines.min(sets * 4);
+                let high = lines - lines.min(sets * 2);
+                for _ in 0..4_000 {
+                    let line = if rng.gen_range(0..8u32) == 0 {
+                        rng.gen_range(high..lines)
+                    } else {
+                        rng.gen_range(0..low)
+                    };
+                    let addr = LineAddr::new(line);
+                    match rng.gen_range(0..4u32) {
+                        0 => assert_eq!(dir.probe(addr), model.probe(line), "probe {line}"),
+                        1 => {
+                            let (got, want) = (dir.mark_dirty(addr), model.mark_dirty(line));
+                            assert_eq!(got, want, "mark {line}");
+                        }
+                        2 => {
+                            let dirty = rng.gen_bool(0.5);
+                            assert_eq!(
+                                dir.fill(addr, dirty),
+                                model.fill(line, dirty),
+                                "fill {line}"
+                            );
+                        }
+                        _ => {
+                            let (got, want) = (dir.invalidate(addr), model.invalidate(line));
+                            assert_eq!(got, want, "drop {line}");
+                        }
                     }
-                    _ => assert_eq!(dir.invalidate(addr), model.invalidate(line), "drop {line}"),
                 }
+                assert_eq!(dir.occupancy(), model.entries.iter().flatten().count());
+                // A line past the space is never resident.
+                assert!(!dir.probe(LineAddr::new(lines + sets * 4)));
             }
-            assert_eq!(dir.occupancy(), model.entries.iter().flatten().count());
         }
     }
 
+    /// The paper's 1:3 machine at scale 1/128: 512 Ki sets over an
+    /// off-chip space three times as large need tags 0..=2, so 2 bits of
+    /// `tag + 1` and a dirty bit, 192 KiB where a `u32` per set took 2 MiB.
+    #[test]
+    fn paper_ratio_takes_three_bits_per_set() {
+        let sets = 512 * 1024;
+        let dir = AlloyDirectory::new(sets, 3 * sets);
+        assert_eq!(dir.tads.bits(), 3);
+        assert_eq!(dir.tads.host_bytes(), 192 * 1024 + 8);
+        // DoubleUse fronts stacked + off-chip: tags 0..=3 need one bit more.
+        assert_eq!(AlloyDirectory::new(sets, 4 * sets).tads.bits(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 32-line space")]
+    fn line_outside_the_space_rejected() {
+        let mut dir = AlloyDirectory::new(4, 32);
+        dir.fill(LineAddr::new(32), false);
+    }
+
+    /// A space whose last tag is 2^31 − 1, one more than the widest,
+    /// overflows at construction, before any fill.
     #[test]
     #[should_panic(expected = "overflows the packed directory")]
     fn oversized_tag_rejected() {
-        let mut dir = AlloyDirectory::new(4);
-        dir.fill(LineAddr::new((u64::from(DIRTY) - 1) * 4), false);
+        AlloyDirectory::new(4, ((1u64 << MAX_KEY_BITS) - 1) * 4 + 1);
     }
 
     #[test]
     fn occupancy() {
-        let mut dir = AlloyDirectory::new(4);
+        let mut dir = AlloyDirectory::new(4, 16);
         assert_eq!(dir.occupancy(), 0);
         dir.fill(LineAddr::new(0), false);
         dir.fill(LineAddr::new(1), false);
@@ -477,6 +549,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one set")]
     fn empty_directory_rejected() {
-        AlloyDirectory::new(0);
+        AlloyDirectory::new(0, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one line")]
+    fn empty_line_space_rejected() {
+        AlloyDirectory::new(4, 0);
     }
 }

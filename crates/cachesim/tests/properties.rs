@@ -108,7 +108,7 @@ proptest! {
         sets in 1u64..64,
         lines in prop::collection::vec(0u64..1024, 1..200),
     ) {
-        let mut dir = AlloyDirectory::new(sets);
+        let mut dir = AlloyDirectory::new(sets, 1024);
         let mut model: Vec<Option<u64>> = vec![None; sets as usize];
         for &l in &lines {
             let line = LineAddr::new(l);

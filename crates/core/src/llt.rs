@@ -8,7 +8,7 @@
 //! exactly-one-copy-of-every-line invariant that distinguishes CAMEO from a
 //! cache.
 
-use cameo_types::{DetHashMap, LineAddr};
+use cameo_types::{DetHashMap, LineAddr, PackedBits};
 
 use crate::congruence::CongruenceMap;
 
@@ -238,7 +238,7 @@ fn lehmer_bits(ratio: u8) -> u8 {
 /// hold one of the `r!` way→slot permutations, so the store keeps a
 /// Lehmer index per group — ⌈log₂ r!⌉ bits (5 bits at the paper's ratio
 /// 4, against 16 for the packed nibbles and 32 for a whole word) —
-/// bit-packed into a flat `Vec<u64>`. A table-wide decode LUT (`r!`
+/// bit-packed into a [`PackedBits`] store. A table-wide decode LUT (`r!`
 /// entries, ≤ 160 KiB at ratio 8) turns an index back into the packed
 /// nibble word in one load, and its inverse map re-encodes updated
 /// entries. At the paper's full scale (64 M ratio-4 groups) this is
@@ -258,15 +258,12 @@ fn lehmer_bits(ratio: u8) -> u8 {
 #[derive(Clone, Debug)]
 pub struct LineLocationTable {
     map: CongruenceMap,
-    /// Lehmer indices, `index_bits` bits per group, little-endian within
-    /// and across words, plus one guard word so straddling reads never
-    /// index past the end.
-    store: Vec<u64>,
+    /// Lehmer indices, `lehmer_bits(ratio)` bits per group.
+    store: PackedBits,
     /// Lehmer index → packed nibble word; `decode[0]` is the identity.
     decode: Vec<u32>,
     /// Packed nibble word → Lehmer index (the inverse of `decode`).
     encode: DetHashMap<u32, u32>,
-    index_bits: u8,
     ratio: u8,
     swaps: u64,
     /// Groups whose entry is not a permutation (fault injection only):
@@ -279,7 +276,6 @@ impl LineLocationTable {
     /// Creates an identity-mapped table for `map`.
     pub fn new(map: CongruenceMap) -> Self {
         let ratio = map.ratio();
-        let index_bits = lehmer_bits(ratio);
         let perms = factorial(ratio);
         let decode: Vec<u32> = (0..perms).map(|i| packed_of_lehmer(i, ratio)).collect();
         let mut encode = DetHashMap::default();
@@ -287,20 +283,13 @@ impl LineLocationTable {
             encode.insert(packed, i as u32);
         }
         debug_assert_eq!(decode[0], LltEntry::identity(ratio).packed_bits());
-        let bits = map.groups() * u64::from(index_bits);
         // Identity is index 0, so the zeroed store *is* the initial state.
-        let store = vec![
-            0u64;
-            usize::try_from(bits.div_ceil(64) + 1).expect(
-                "the group count was validated to fit host memory at construction"
-            )
-        ];
+        let store = PackedBits::new(map.groups(), u32::from(lehmer_bits(ratio)));
         Self {
             map,
             store,
             decode,
             encode,
-            index_bits,
             ratio,
             swaps: 0,
             #[cfg(feature = "faults")]
@@ -320,40 +309,6 @@ impl LineLocationTable {
         self.swaps
     }
 
-    /// Reads `group`'s Lehmer index out of the bit-packed store.
-    #[inline]
-    fn read_index(&self, group: u64) -> u32 {
-        let bits = u64::from(self.index_bits);
-        let pos = group * bits;
-        let word = usize::try_from(pos >> 6)
-            .expect("bit positions stay within the store sized for every group");
-        let shift = (pos & 63) as u32;
-        let mask = (1u64 << bits) - 1;
-        let mut v = self.store[word] >> shift;
-        if u64::from(shift) + bits > 64 {
-            // Straddles into the next word (shift > 0 here, so 64 - shift
-            // is a valid shift amount).
-            v |= self.store[word + 1] << (64 - shift);
-        }
-        (v & mask) as u32
-    }
-
-    /// Writes `group`'s Lehmer index into the bit-packed store.
-    fn write_index(&mut self, group: u64, index: u32) {
-        let bits = u64::from(self.index_bits);
-        let pos = group * bits;
-        let word = usize::try_from(pos >> 6)
-            .expect("bit positions stay within the store sized for every group");
-        let shift = (pos & 63) as u32;
-        let mask = (1u64 << bits) - 1;
-        self.store[word] = (self.store[word] & !(mask << shift)) | (u64::from(index) << shift);
-        if u64::from(shift) + bits > 64 {
-            let spill = 64 - shift;
-            self.store[word + 1] =
-                (self.store[word + 1] & !(mask >> spill)) | (u64::from(index) >> spill);
-        }
-    }
-
     /// The effective packed nibble word of `group`: the corruption
     /// override when fault injection has broken the permutation, else the
     /// decoded index.
@@ -365,7 +320,7 @@ impl LineLocationTable {
                 return packed;
             }
         }
-        self.decode[self.read_index(group) as usize]
+        self.decode[self.store.get(group) as usize]
     }
 
     /// Stores a packed nibble word for `group`: permutations re-encode to
@@ -373,7 +328,7 @@ impl LineLocationTable {
     /// injection) parks in the override map.
     fn write_packed(&mut self, group: u64, packed: u32) {
         if let Some(&index) = self.encode.get(&packed) {
-            self.write_index(group, index);
+            self.store.set(group, index);
             #[cfg(feature = "faults")]
             self.corrupted.remove(&group);
         } else {
@@ -471,14 +426,14 @@ impl LineLocationTable {
     /// Bits of host storage per group in the permutation-index encoding
     /// (5 at the paper's ratio 4).
     pub fn index_bits(&self) -> u8 {
-        self.index_bits
+        self.store.bits() as u8
     }
 
     /// Host bytes actually resident for the table's per-group state (the
     /// bit-packed index store; the decode LUT and its inverse are
     /// table-wide constants independent of group count).
     pub fn host_resident_bytes(&self) -> u64 {
-        self.store.len() as u64 * 8
+        self.store.host_bytes()
     }
 }
 

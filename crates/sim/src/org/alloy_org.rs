@@ -47,7 +47,7 @@ impl AlloyCacheOrg {
             vmm,
             stacked: Dram::new(DramConfig::stacked(stacked)),
             off_chip: Dram::new(DramConfig::off_chip(off_chip_capacity)),
-            directory: AlloyDirectory::new(stacked.lines()),
+            directory: AlloyDirectory::new(stacked.lines(), off_chip_capacity.lines()),
             predictor: HitPredictor::new(cores, 256),
             hits: 0,
             misses: 0,
@@ -95,7 +95,7 @@ impl<S: TraceSink> AlloyCacheOrg<S> {
             }),
             stacked: Dram::new(stacked_dev),
             off_chip: Dram::new(off_chip_dev),
-            directory: AlloyDirectory::new(stacked.lines()),
+            directory: AlloyDirectory::new(stacked.lines(), off_chip.lines()),
             predictor: HitPredictor::new(cores, 256),
             hits: 0,
             misses: 0,

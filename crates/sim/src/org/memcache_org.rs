@@ -29,7 +29,8 @@ pub struct MemCacheOrg<S: TraceSink = NopSink> {
     stacked: Dram,
     off_chip: Dram,
     mem_lines: u64,
-    /// One set per line of the cache region.
+    /// One set per line of the cache region, in front of the off-chip
+    /// region's lines.
     directory: AlloyDirectory,
     predictor: HitPredictor,
     name: &'static str,
@@ -129,7 +130,7 @@ impl<S: TraceSink> MemCacheOrg<S> {
             stacked: Dram::new(stacked_dev),
             off_chip: Dram::new(off_chip_dev),
             mem_lines: mem.lines(),
-            directory: AlloyDirectory::new(cache.lines()),
+            directory: AlloyDirectory::new(cache.lines(), off_chip.lines()),
             predictor: HitPredictor::new(cores, 256),
             name: split_label(split_percent),
             hits: 0,

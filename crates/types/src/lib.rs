@@ -32,6 +32,7 @@ mod device;
 mod divisor;
 mod events;
 mod hash;
+mod packed;
 mod request;
 
 pub use addr::{
@@ -43,4 +44,5 @@ pub use device::DeviceKind;
 pub use divisor::Divisor;
 pub use events::{NopSink, RecoveryKind, TraceEvent, TraceSink, VecSink};
 pub use hash::{DetBuildHasher, DetHashMap, DetHashSet, DetHasher, SplitMix64};
+pub use packed::PackedBits;
 pub use request::{Access, AccessKind, CoreId, MemKind, ServiceLocation};

@@ -44,17 +44,57 @@ pub enum Region {
     Any,
 }
 
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-struct Frame {
-    resident: Option<PageAddr>,
-    referenced: bool,
-    dirty: bool,
+/// One frame's state in a word: `page + 1` of the resident page in the
+/// low 62 bits (0 when the frame is free), the referenced bit at bit 63
+/// and the dirty bit at bit 62. The zero word is a free frame, so a
+/// zeroed leaf is a leaf of free frames.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct Frame(u64);
+
+impl Frame {
+    const REFERENCED: u64 = 1 << 63;
+    const DIRTY: u64 = 1 << 62;
+    /// The `page + 1` field.
+    const PAGE: u64 = Self::DIRTY - 1;
+
+    /// A frame just granted to `page`: referenced and clean.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page + 1` does not fit 62 bits. Every page a `LineAddr`
+    /// can name (below 2^58) fits.
+    #[inline]
+    fn holding(page: PageAddr) -> Self {
+        let raw = page.raw();
+        assert!(raw < Self::PAGE, "page {page} does not fit a frame record");
+        Self((raw + 1) | Self::REFERENCED)
+    }
+
+    /// The page resident in the frame, `None` when it is free.
+    #[inline]
+    fn resident(self) -> Option<PageAddr> {
+        let key = self.0 & Self::PAGE;
+        (key != 0).then(|| PageAddr::new(key - 1))
+    }
+
+    #[inline]
+    fn referenced(self) -> bool {
+        self.0 & Self::REFERENCED != 0
+    }
+
+    #[inline]
+    fn dirty(self) -> bool {
+        self.0 & Self::DIRTY != 0
+    }
 }
 
-/// Frames per leaf of the lazy frame table: 4096 × 16 B = 64 KiB leaves,
+/// Frames per leaf of the lazy frame table: 4096 × 8 B = 32 KiB leaves,
 /// so even a fully-touched paper-scale pool adds only ~1 K leaf pointers
 /// of overhead while an untouched one allocates nothing.
 const LEAF_FRAMES: usize = 4096;
+
+/// Host bytes of one free-list override: a `u32` slot and a `u32` frame.
+const OVERRIDE_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
 
 /// Sparse two-level table of per-frame state. Reads of frames whose leaf
 /// was never materialized return `Frame::default()`; only writes that
@@ -101,10 +141,7 @@ impl FrameTable {
     /// Referenced bit of frame `idx` (no allocation).
     #[inline]
     fn referenced(&self, idx: usize) -> bool {
-        match &self.leaves[idx / LEAF_FRAMES] {
-            Some(leaf) => leaf[idx % LEAF_FRAMES].referenced,
-            None => false,
-        }
+        self.get(idx).referenced()
     }
 
     /// Leaves currently materialized (host-memory gauge).
@@ -135,7 +172,9 @@ struct FreeList {
     len: usize,
     /// Slots whose value differs from the virtual formula. Invariant:
     /// keys are `< len` (shrinking removes the vacated slot's override).
-    overrides: DetHashMap<usize, u64>,
+    /// Slots and frames are below the pool size, which is at most
+    /// `u32::MAX`, so both are stored in 32 bits.
+    overrides: DetHashMap<u32, u32>,
     /// Ordered views of `overrides` for the region and frame queries,
     /// built by the first such query and kept in step by every override
     /// change after it. A pool that only ever takes random slots (the
@@ -163,11 +202,11 @@ struct FreeIndex {
 impl FreeIndex {
     /// Indexes the overrides; the map's iteration order cannot matter,
     /// as every view is ordered or keyed.
-    fn build(overrides: &DetHashMap<usize, u64>, stacked: u64) -> Self {
+    fn build(overrides: &DetHashMap<u32, u32>, stacked: u64) -> Self {
         let mut index = Self::default();
         for (&slot, &frame) in overrides {
-            index.mark(slot);
-            index.file(slot, frame, stacked);
+            index.mark(slot as usize);
+            index.file(slot as usize, u64::from(frame), stacked);
         }
         index
     }
@@ -257,8 +296,8 @@ impl FreeList {
         if self.overrides.is_empty() {
             return self.total - 1 - i as u64;
         }
-        match self.overrides.get(&i) {
-            Some(&v) => v,
+        match self.overrides.get(&(i as u32)) {
+            Some(&v) => u64::from(v),
             None => self.total - 1 - i as u64,
         }
     }
@@ -270,10 +309,11 @@ impl FreeList {
             self.clear(i);
             return;
         }
-        let old = self.overrides.insert(i, v);
+        // `FrameAllocator::new` bounds the pool, so slot and frame fit.
+        let old = self.overrides.insert(i as u32, v as u32);
         if let Some(index) = self.index.get_mut() {
             match old {
-                Some(old) => index.unfile(i, old, self.stacked),
+                Some(old) => index.unfile(i, u64::from(old), self.stacked),
                 None => index.mark(i),
             }
             index.file(i, v, self.stacked);
@@ -282,11 +322,11 @@ impl FreeList {
 
     /// Drops slot `i`'s override, if any.
     fn clear(&mut self, i: usize) {
-        let Some(old) = self.overrides.remove(&i) else {
+        let Some(old) = self.overrides.remove(&(i as u32)) else {
             return;
         };
         if let Some(index) = self.index.get_mut() {
-            index.unfile(i, old, self.stacked);
+            index.unfile(i, u64::from(old), self.stacked);
             index.unmark(i);
         }
     }
@@ -346,7 +386,7 @@ impl FreeList {
     /// override hides that slot, otherwise the override holding it.
     fn slot_of(&self, frame: u64) -> Option<usize> {
         let virtual_slot = (self.total - 1 - frame) as usize;
-        if virtual_slot < self.len && !self.overrides.contains_key(&virtual_slot) {
+        if virtual_slot < self.len && !self.overrides.contains_key(&(virtual_slot as u32)) {
             return Some(virtual_slot);
         }
         self.index().slot_of.get(&frame).copied()
@@ -384,10 +424,15 @@ impl FrameAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if the pool would be empty.
+    /// Panics if the pool would be empty, or hold more than `u32::MAX`
+    /// frames (the free list stores slots and frames in 32 bits).
     pub fn new(stacked_frames: u64, off_chip_frames: u64) -> Self {
-        let total = stacked_frames + off_chip_frames;
+        let total = stacked_frames.saturating_add(off_chip_frames);
         assert!(total > 0, "frame pool must be non-empty");
+        assert!(
+            total <= u64::from(u32::MAX),
+            "frame pool exceeds u32::MAX frames"
+        );
         Self {
             frames: FrameTable::new(usize::try_from(total).expect("pool fits memory")),
             stacked_frames,
@@ -421,11 +466,11 @@ impl FrameAllocator {
 
     /// Host bytes resident for per-frame state: materialized leaves plus
     /// free-list overrides — the gauge DESIGN.md §16 tracks against the
-    /// eager layout's `total_frames × 16 B`.
+    /// eager layout's `total_frames × 8 B`.
     pub fn host_resident_bytes(&self) -> u64 {
         let leaf_bytes = (self.frames.resident_leaves() * LEAF_FRAMES) as u64
             * std::mem::size_of::<Frame>() as u64;
-        leaf_bytes + self.free.overrides.len() as u64 * 16
+        leaf_bytes + self.free.overrides.len() as u64 * OVERRIDE_BYTES
     }
 
     /// Region of a given frame.
@@ -441,20 +486,19 @@ impl FrameAllocator {
     /// Page currently resident in `frame`.
     #[inline]
     pub fn resident(&self, frame: FrameId) -> Option<PageAddr> {
-        self.frames.get(frame.0 as usize).resident
+        self.frames.get(frame.0 as usize).resident()
     }
 
     /// Marks a frame referenced (on access) and optionally dirty.
     pub fn touch(&mut self, frame: FrameId, write: bool) {
         let f = self.frames.get_mut(frame.0 as usize);
-        f.referenced = true;
-        f.dirty |= write;
+        f.0 |= Frame::REFERENCED | if write { Frame::DIRTY } else { 0 };
     }
 
     /// Whether the page in `frame` has been written since it was loaded.
     #[inline]
     pub fn is_dirty(&self, frame: FrameId) -> bool {
-        self.frames.get(frame.0 as usize).dirty
+        self.frames.get(frame.0 as usize).dirty()
     }
 
     /// Takes a frame for `page`, preferring `region`, evicting a victim if
@@ -474,12 +518,8 @@ impl FrameAllocator {
             None => self.select_victim(rng),
         };
         let slot = self.frames.get_mut(frame.0 as usize);
-        let evicted = slot.resident.map(|p| (p, slot.dirty));
-        *slot = Frame {
-            resident: Some(page),
-            referenced: true,
-            dirty: false,
-        };
+        let evicted = slot.resident().map(|p| (p, slot.dirty()));
+        *slot = Frame::holding(page);
         Took { frame, evicted }
     }
 
@@ -491,7 +531,7 @@ impl FrameAllocator {
     /// Panics if the frame is already free.
     pub fn release(&mut self, frame: FrameId) {
         let slot = self.frames.get_mut(frame.0 as usize);
-        assert!(slot.resident.is_some(), "double free of frame {frame:?}");
+        assert!(slot.resident().is_some(), "double free of frame {frame:?}");
         *slot = Frame::default();
         self.free.push(frame.0);
         if frame.0 < self.stacked_frames {
@@ -509,7 +549,7 @@ impl FrameAllocator {
         let fa = self.frames.get(a.0 as usize);
         let fb = self.frames.get(b.0 as usize);
         assert!(
-            fa.resident.is_some() && fb.resident.is_some(),
+            fa.resident().is_some() && fb.resident().is_some(),
             "swap requires both frames resident"
         );
         *self.frames.get_mut(a.0 as usize) = fb;
@@ -520,18 +560,14 @@ impl FrameAllocator {
     /// placement). Returns `false` if the frame is occupied.
     pub fn place_into(&mut self, page: PageAddr, frame: FrameId) -> bool {
         let idx = frame.0 as usize;
-        if self.frames.get(idx).resident.is_some() {
+        if self.frames.get(idx).resident().is_some() {
             return false;
         }
         // Remove from the free list.
         if let Some(pos) = self.free.slot_of(frame.0) {
             self.remove_free(pos);
         }
-        *self.frames.get_mut(idx) = Frame {
-            resident: Some(page),
-            referenced: true,
-            dirty: false,
-        };
+        *self.frames.get_mut(idx) = Frame::holding(page);
         true
     }
 
@@ -593,7 +629,7 @@ impl FrameAllocator {
             let idx = self.clock_hand;
             self.clock_hand = (self.clock_hand + 1) % self.frames.len();
             if self.frames.referenced(idx) {
-                self.frames.get_mut(idx).referenced = false;
+                self.frames.get_mut(idx).0 &= !Frame::REFERENCED;
             } else {
                 return FrameId(idx as u64);
             }
@@ -783,18 +819,83 @@ mod tests {
     fn resident_bytes_track_touched_leaves_only() {
         let mut fa = FrameAllocator::new(1 << 16, 3 << 16);
         let mut r = rng();
-        // The untouched pool hands out the highest off-chip frame first
-        // (Any pops the lowest index last): one leaf materializes.
-        fa.take(PageAddr::new(0), Region::Stacked, &mut r);
-        let one_leaf = (LEAF_FRAMES * std::mem::size_of::<Frame>()) as u64;
-        assert!(fa.host_resident_bytes() >= one_leaf);
-        assert!(fa.host_resident_bytes() < 4 * one_leaf + 64);
+        // The first stacked slot in list order holds the highest stacked
+        // frame, 65535: its leaf materializes, and the list's last value
+        // (frame 0) moves into the vacated slot as one override.
+        let took = fa.take(PageAddr::new(0), Region::Stacked, &mut r);
+        assert_eq!(took.frame, FrameId((1 << 16) - 1));
+        assert_eq!(fa.host_resident_bytes(), 4096 * 8 + 8);
+        // A second frame in the same leaf costs nothing more.
+        fa.place_into(PageAddr::new(1), FrameId((1 << 16) - 2));
+        assert_eq!(fa.host_resident_bytes(), 4096 * 8 + 2 * 8);
+    }
+
+    /// A frame record is one word.
+    #[test]
+    fn frame_record_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 8);
+        assert_eq!(OVERRIDE_BYTES, 8);
+    }
+
+    /// The word round-trips page 0 and the largest page a `LineAddr` can
+    /// name with every referenced/dirty combination, and the free word is
+    /// zero.
+    #[test]
+    fn frame_word_round_trips_every_page_and_bit() {
+        assert_eq!(Frame::default().resident(), None);
+        assert!(!Frame::default().referenced() && !Frame::default().dirty());
+        let largest = cameo_types::LineAddr::new(u64::MAX).page();
+        for page in [PageAddr::new(0), PageAddr::new(1), largest] {
+            for (referenced, dirty) in [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let mut f = Frame::holding(page);
+                if !referenced {
+                    f.0 &= !Frame::REFERENCED;
+                }
+                if dirty {
+                    f.0 |= Frame::DIRTY;
+                }
+                assert_eq!(f.resident(), Some(page), "{page}");
+                assert_eq!((f.referenced(), f.dirty()), (referenced, dirty), "{page}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a frame record")]
+    fn page_past_the_frame_word_rejected() {
+        Frame::holding(PageAddr::new(Frame::PAGE));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX frames")]
+    fn pool_past_u32_frames_rejected() {
+        FrameAllocator::new(1, u64::from(u32::MAX));
+    }
+
+    /// A frame's state as separate fields: the reference model of the
+    /// packed [`Frame`] word.
+    #[derive(Clone, Copy, PartialEq, Debug, Default)]
+    struct FieldFrame {
+        resident: Option<PageAddr>,
+        referenced: bool,
+        dirty: bool,
+    }
+
+    impl From<Frame> for FieldFrame {
+        fn from(f: Frame) -> Self {
+            Self {
+                resident: f.resident(),
+                referenced: f.referenced(),
+                dirty: f.dirty(),
+            }
+        }
     }
 
     /// The eager structures this PR replaced, kept verbatim as the
     /// reference model for the lazy pool.
     struct EagerPool {
-        frames: Vec<Frame>,
+        frames: Vec<FieldFrame>,
         stacked_frames: u64,
         free: Vec<u64>,
         clock_hand: usize,
@@ -804,7 +905,7 @@ mod tests {
         fn new(stacked: u64, off_chip: u64) -> Self {
             let total = stacked + off_chip;
             Self {
-                frames: vec![Frame::default(); total as usize],
+                frames: vec![FieldFrame::default(); total as usize],
                 stacked_frames: stacked,
                 free: (0..total).rev().collect(),
                 clock_hand: 0,
@@ -823,7 +924,7 @@ mod tests {
                 .unwrap_or_else(|| self.select_victim(rng));
             let slot = &mut self.frames[frame.0 as usize];
             let evicted = slot.resident.map(|p| (p, slot.dirty));
-            *slot = Frame {
+            *slot = FieldFrame {
                 resident: Some(page),
                 referenced: true,
                 dirty: false,
@@ -882,7 +983,7 @@ mod tests {
         }
 
         fn release(&mut self, frame: FrameId) {
-            self.frames[frame.0 as usize] = Frame::default();
+            self.frames[frame.0 as usize] = FieldFrame::default();
             self.free.push(frame.0);
         }
 
@@ -894,7 +995,7 @@ mod tests {
             if let Some(pos) = self.free.iter().position(|&f| f == frame.0) {
                 self.free.swap_remove(pos);
             }
-            self.frames[idx] = Frame {
+            self.frames[idx] = FieldFrame {
                 resident: Some(page),
                 referenced: true,
                 dirty: false,
@@ -999,7 +1100,7 @@ mod tests {
                 }
             }
             for f in 0..total {
-                let got = lazy.frames.get(f as usize);
+                let got = FieldFrame::from(lazy.frames.get(f as usize));
                 let want = eager.frames[f as usize];
                 proptest::prop_assert_eq!(got, want, "frame {} diverged", f);
                 proptest::prop_assert_eq!(lazy.is_dirty(FrameId(f)), want.dirty);
