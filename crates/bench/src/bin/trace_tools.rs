@@ -97,7 +97,7 @@ fn info(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let trace = TraceFile::read(BufReader::new(File::open(path)?))?;
     let reads = trace.events.iter().filter(|e| !e.is_write).count();
     let instructions: u64 = trace.events.iter().map(|e| e.gap_instructions).sum();
-    let pages: std::collections::HashSet<u64> =
+    let pages: cameo_types::DetHashSet<u64> =
         trace.events.iter().map(|e| e.line.page().raw()).collect();
     outln!("name:        {}", trace.name);
     outln!("events:      {}", trace.events.len());

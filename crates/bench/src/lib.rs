@@ -21,9 +21,6 @@
 //! Results are deterministic at any `--jobs` value: points are
 //! independent and the harness reassembles them in canonical order.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::str::FromStr;

@@ -26,9 +26,8 @@
 //! Counters are exact `u64`s end to end — both formats ride on the
 //! dependency-free [`Json`] codec from [`cameo_sim::checkpoint`].
 //!
-//! This module is the *only* place trace events may be serialized
-//! (enforced by the `trace-print` rule of `cargo xtask lint`): one
-//! schema, one writer, no drift.
+//! This module is the one place trace events are serialized: one schema,
+//! one writer, no drift.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

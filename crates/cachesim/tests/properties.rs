@@ -82,8 +82,7 @@ proptest! {
         mut cache in small_cache(),
         ops in prop::collection::vec((0u64..64, any::<bool>()), 1..200),
     ) {
-        use std::collections::HashSet;
-        let mut dirty: HashSet<u64> = HashSet::new();
+        let mut dirty: cameo_types::DetHashSet<u64> = Default::default();
         for &(l, w) in &ops {
             let line = LineAddr::new(l);
             let out = cache.access(line, w);

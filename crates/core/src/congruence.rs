@@ -83,7 +83,7 @@ impl CongruenceMap {
     pub fn split(&self, line: LineAddr) -> (u64, u8) {
         debug_assert!(line.raw() < self.total_lines(), "line out of space");
         let (way, group) = self.groups.div_rem(line.raw());
-        // lint: allow(addr-cast) — way = line/groups < ratio ≤ 15 (checked above)
+        // way = line / groups < ratio ≤ 15 (checked above), so it fits a u8.
         (group, way as u8)
     }
 

@@ -477,10 +477,13 @@ impl<S: TraceSink> Cameo<S> {
             }
         }
         #[cfg(feature = "deep-audit")]
+        #[expect(
+            clippy::panic,
+            reason = "an audit failure is a simulator bug; continuing would \
+                      corrupt every number downstream"
+        )]
         if self.auditor.tick() {
             if let Err(violation) = self.audit_now() {
-                // An audit failure is a simulator bug; continuing would
-                // corrupt every number downstream. lint: allow(no-panic)
                 panic!("deep-audit: {violation}");
             }
         }

@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let labels: std::collections::HashSet<_> =
+        let labels: cameo_types::DetHashSet<_> =
             LatencyDesign::ALL.iter().map(|d| d.label()).collect();
         assert_eq!(labels.len(), LatencyDesign::ALL.len());
     }

@@ -529,7 +529,7 @@ mod tests {
     fn lehmer_codec_is_a_bijection_over_permutations() {
         for ratio in 2..=8u8 {
             let perms = factorial(ratio);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = cameo_types::DetHashSet::default();
             for i in 0..perms {
                 let packed = packed_of_lehmer(i, ratio);
                 let entry = LltEntry::from_packed(packed, ratio);

@@ -59,7 +59,7 @@ proptest! {
             llt.promote(LineAddr::new(*l));
         }
         for g in 0..map.groups() {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = cameo_types::DetHashSet::default();
             for w in 0..map.ratio() {
                 let slot = llt.locate(map.line_of(g, w));
                 prop_assert!(seen.insert(slot.raw()));
@@ -116,7 +116,7 @@ proptest! {
         });
         let mut now = Cycle::ZERO;
         let mut reads = 0u64;
-        let mut last_read_of_group: std::collections::HashMap<u64, u64> = Default::default();
+        let mut last_read_of_group: cameo_types::DetHashMap<u64, u64> = Default::default();
         for (line, is_write, pc) in ops {
             let access = if is_write {
                 Access::write(CoreId((line % 2) as u16), LineAddr::new(line), pc * 4)

@@ -295,8 +295,11 @@ pub fn try_run_benchmark(
     config: &SystemConfig,
     budget_cycles: Option<u64>,
 ) -> Result<RunStats, SimError> {
+    // Validate before building: an organization may divide by (or size a
+    // table from) a field only `Runner::new` checks.
+    let runner = Runner::new(*bench, config)?;
     let mut org = build_org(bench, kind, config);
-    Runner::new(*bench, config)?.try_run(org.as_mut(), budget_cycles)
+    runner.try_run(org.as_mut(), budget_cycles)
 }
 
 #[cfg(test)]
@@ -332,6 +335,67 @@ mod tests {
             let stats = run_benchmark(&bench, kind, &cfg);
             assert!(stats.instructions > 0, "{}", kind.label());
             assert!(stats.execution_cycles > 0, "{}", kind.label());
+        }
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error_for_every_org() {
+        use crate::checkpoint::PointRecord;
+        use crate::config::ConfigError;
+        use crate::harness::{run_sweep, SweepOptions, SweepPoint};
+
+        // Each field reaches some organization's constructor as a divisor
+        // or a table size, so the config must be validated before any
+        // organization is built, on the direct path and in a sweep.
+        let kinds = [
+            OrgKind::Baseline,
+            OrgKind::AlloyCache,
+            OrgKind::LhCache,
+            OrgKind::TlmStatic,
+            OrgKind::TlmDynamic,
+            OrgKind::TlmFreq,
+            OrgKind::TlmOracle,
+            OrgKind::cameo_default(),
+            OrgKind::MemCache { split_percent: 50 },
+            OrgKind::DoubleUse,
+        ];
+        let with = |edit: fn(&mut SystemConfig)| {
+            let mut config = quick();
+            edit(&mut config);
+            config
+        };
+        let cases = [
+            (with(|c| c.scale = 0), ConfigError::ZeroScale),
+            (with(|c| c.cores = 0), ConfigError::ZeroCores),
+            (
+                with(|c| c.llp_entries = 3),
+                ConfigError::LlpEntriesNotPowerOfTwo(3),
+            ),
+            (with(|c| c.freq_epoch = 0), ConfigError::ZeroFreqEpoch),
+        ];
+        let bench = cameo_workloads::require("astar").expect("suite benchmark");
+        let points: Vec<SweepPoint> = kinds
+            .iter()
+            .map(|&kind| SweepPoint::new("astar", kind))
+            .collect();
+        for (config, error) in cases {
+            let expected = SimError::Config(error);
+            for kind in kinds {
+                let direct = try_run_benchmark(&bench, kind, &config, None);
+                assert_eq!(direct.err(), Some(expected.clone()), "{}", kind.label());
+            }
+            let opts = SweepOptions {
+                config,
+                ..SweepOptions::default()
+            };
+            let report = run_sweep(&points, &opts, None).expect("no checkpoint to fail");
+            for outcome in &report.outcomes {
+                let typed = PointRecord::Failed {
+                    attempts: 1,
+                    error: expected.to_string(),
+                };
+                assert_eq!(outcome.record, typed, "{}", outcome.point.key);
+            }
         }
     }
 

@@ -324,9 +324,12 @@ pub fn run_sweep_traced_with(
     let checkpoint_failure: Mutex<Option<SimError>> = Mutex::new(None);
     crate::pool::for_each(opts.jobs.max(1), pending.len(), |n, cancel| {
         let point = &points[pending[n]];
-        // Per-point wall-time metric: recorded as `wall_nanos` alongside
-        // the deterministic `PointRecord`, excluded from golden
-        // comparisons. lint: allow(wall-clock)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-point wall time: recorded as `wall_nanos` beside the \
+                      deterministic `PointRecord`, excluded from report equality \
+                      and golden comparisons"
+        )]
         let point_start = Instant::now();
         let (record, trace) = run_point(point, opts, build);
         let appended = writer
@@ -455,8 +458,11 @@ fn begin_attempt(
     build: &TracedOrgBuilder<'_>,
 ) -> Result<ActiveRun, SimError> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
+        // Validate before building: a builder may divide by (or size a
+        // table from) a field only `Runner::new` checks.
+        let runner = Runner::new(*bench, config)?;
         let (mut org, sink) = build(point, config);
-        let session = Runner::new(*bench, config)?.start(org.as_mut())?;
+        let session = runner.start(org.as_mut())?;
         Ok(ActiveRun { org, sink, session })
     }));
     attempt.unwrap_or_else(|payload| {

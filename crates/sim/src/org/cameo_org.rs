@@ -48,7 +48,10 @@ impl CameoOrg {
 
 impl<S: TraceSink> CameoOrg<S> {
     /// Creates a CAMEO system emitting trace events into `sink`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per `CameoConfig` field the organization sets, plus seed and sink"
+    )]
     pub fn with_sink(
         stacked: ByteSize,
         off_chip: ByteSize,
@@ -74,7 +77,10 @@ impl<S: TraceSink> CameoOrg<S> {
     /// Creates a CAMEO system on explicit device models (e.g. a
     /// tiered-latency TL-DRAM stacked die); capacities are taken from the
     /// configs and passed through to the controller.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per `CameoConfig` field the organization sets, plus seed and sink"
+    )]
     pub fn with_sink_on(
         stacked_dev: cameo_memsim::DramConfig,
         off_chip_dev: cameo_memsim::DramConfig,

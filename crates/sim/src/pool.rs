@@ -1,11 +1,16 @@
 //! The scoped-thread worker pool behind parallel sweeps.
 //!
-//! This is the one module in the workspace that creates threads (enforced
-//! by the `thread-spawn` xtask lint), and it only ever creates *scoped*
-//! threads: workers borrow the sweep's points, options and builder
-//! directly, and [`std::thread::scope`] guarantees they are joined before
-//! the sweep returns — no detached thread can outlive the data it
-//! borrows or leak past a sweep.
+//! This is the one module in the workspace that creates threads, and it
+//! only ever creates *scoped* threads (clippy's `disallowed_methods`
+//! rejects `std::thread::spawn` and `Builder::spawn` everywhere):
+//! workers borrow the sweep's points, options and builder directly, and
+//! [`std::thread::scope`] guarantees they are joined before the sweep
+//! returns — no detached thread can outlive the data it borrows or leak
+//! past a sweep.
+//!
+//! The module's three atomic sites are the workspace's whole
+//! memory-ordering protocol; each states at its site why its ordering
+//! suffices.
 //!
 //! Work distribution is a single shared atomic cursor over `0..count`:
 //! each worker claims the next index with `fetch_add` and runs that task
@@ -29,11 +34,16 @@ pub(crate) struct Cancel {
 impl Cancel {
     /// Requests that the pool stop claiming new tasks.
     pub(crate) fn cancel(&self) {
+        // Release pairs with the Acquire load in `is_cancelled`: a worker
+        // that stops on the flag sees every write the cancelling task made
+        // before raising it. (The sweep reads the checkpoint failure it
+        // parks only after the scope join, which publishes it anyway.)
         self.flag.store(true, Ordering::Release);
     }
 
     /// Whether cancellation has been requested.
     pub(crate) fn is_cancelled(&self) -> bool {
+        // Acquire pairs with the Release store in `cancel`.
         self.flag.load(Ordering::Acquire)
     }
 }
@@ -51,9 +61,10 @@ where
 {
     let cancel = Cancel::default();
     let next = AtomicUsize::new(0);
-    // The claim itself is the whole protocol: `fetch_add` hands out each
-    // index once, task results flow through the caller's own cells, and
-    // the scope join publishes them.
+    // The claim itself is the whole protocol, so Relaxed suffices:
+    // `fetch_add` hands out each index once whatever the ordering, task
+    // results flow through the caller's own mutex cells, and the scope
+    // join publishes them.
     let claim = || {
         if cancel.is_cancelled() {
             return None;

@@ -507,9 +507,12 @@ impl<S: MissStream> RunSession<S> {
             latency_histogram: self.latency_histogram,
         };
         #[cfg(feature = "deep-audit")]
+        #[expect(
+            clippy::panic,
+            reason = "inconsistent counters make every derived metric garbage; \
+                      aborting the audited run is the point"
+        )]
         if let Err(violation) = stats.audit() {
-            // Inconsistent counters mean every derived metric is garbage;
-            // aborting the audited run is the point. lint: allow(no-panic)
             panic!("deep-audit: run statistics inconsistent: {violation}");
         }
         stats

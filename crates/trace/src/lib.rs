@@ -41,9 +41,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::fmt;
 use std::io::{self, Read, Write};
 

@@ -117,8 +117,7 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable lowercase event name, used by the exporters and the
-    /// trace-print lint fixtures.
+    /// Stable lowercase event name, used by the exporters.
     pub fn name(&self) -> &'static str {
         match self {
             TraceEvent::Swap { .. } => "swap",

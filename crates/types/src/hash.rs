@@ -24,6 +24,11 @@
 //! assert_eq!(table.get(&PageAddr::new(7)), Some(&42));
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module defines `DetHashMap`/`DetHashSet` over std's collections"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -22,9 +22,6 @@
 //! assert_eq!(line.page().first_line().raw(), 12288);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod addr;
 mod capacity;
 mod cycle;

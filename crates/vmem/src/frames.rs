@@ -650,7 +650,7 @@ mod tests {
     fn fills_free_frames_first() {
         let mut fa = FrameAllocator::new(2, 2);
         let mut r = rng();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = cameo_types::DetHashSet::default();
         for p in 0..4u64 {
             let took = fa.take(PageAddr::new(p), Region::Any, &mut r);
             assert!(took.evicted.is_none());

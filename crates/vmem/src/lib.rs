@@ -36,9 +36,6 @@
 //! assert_eq!(t.phys, again.phys);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod frames;
 mod page_table;
 pub mod tlm;

@@ -17,9 +17,7 @@
 //!   place the hottest pages in stacked memory at fault-in time and never
 //!   migrate.
 
-use std::collections::HashSet;
-
-use cameo_types::{Cycle, DetHashMap, PageAddr, TraceEvent, TraceSink, PAGE_BYTES};
+use cameo_types::{Cycle, DetHashMap, DetHashSet, PageAddr, TraceEvent, TraceSink, PAGE_BYTES};
 
 use crate::frames::{FrameId, Region};
 use crate::vmm::Vmm;
@@ -273,7 +271,7 @@ impl FreqMigrator {
             .collect();
         hottest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hottest.truncate(stacked_frames as usize);
-        let hot_set: HashSet<PageAddr> = hottest.iter().map(|(p, _)| *p).collect();
+        let hot_set: DetHashSet<PageAddr> = hottest.iter().map(|(p, _)| *p).collect();
         let promotion_cap = (stacked_frames / self.promotion_cap_divisor).max(1) as usize;
 
         let mut traffic = MigrationTraffic::zero();
@@ -326,7 +324,7 @@ impl FreqMigrator {
 /// time, [`OracleProfile::region_for`] steers hot pages into stacked frames.
 #[derive(Clone, Debug)]
 pub struct OracleProfile {
-    hot: HashSet<PageAddr>,
+    hot: DetHashSet<PageAddr>,
 }
 
 impl OracleProfile {

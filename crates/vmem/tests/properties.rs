@@ -42,7 +42,7 @@ proptest! {
     ) {
         // Memory big enough that nothing is ever evicted.
         let mut v = vmm(8, 8, seed);
-        let mut first: std::collections::HashMap<u64, _> = Default::default();
+        let mut first: cameo_types::DetHashMap<u64, _> = Default::default();
         for &p in &pages {
             let out = v.translate(PageAddr::new(p), false);
             match first.entry(p) {

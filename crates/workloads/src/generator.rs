@@ -358,7 +358,7 @@ fn chance(rng: &mut SmallRng, threshold: u64) -> bool {
 mod tests {
     use super::*;
     use crate::suite::by_name;
-    use std::collections::HashSet;
+    use cameo_types::{DetHashMap, DetHashSet};
 
     fn generator(name: &str) -> TraceGenerator {
         generator_for(by_name(name).unwrap())
@@ -549,10 +549,10 @@ mod tests {
         let mut a = mk(0);
         let pages = a.footprint_pages();
         let mut b = mk(pages);
-        let pa: HashSet<u64> = (0..5000)
+        let pa: DetHashSet<u64> = (0..5000)
             .map(|_| a.next_event().line.page().raw())
             .collect();
-        let pb: HashSet<u64> = (0..5000)
+        let pb: DetHashSet<u64> = (0..5000)
             .map(|_| b.next_event().line.page().raw())
             .collect();
         assert!(pa.is_disjoint(&pb));
@@ -564,8 +564,7 @@ mod tests {
         // essentially all.
         let count_density = |name: &str| {
             let mut g = generator(name);
-            let mut lines_by_page: std::collections::HashMap<u64, HashSet<u64>> =
-                Default::default();
+            let mut lines_by_page: DetHashMap<u64, DetHashSet<u64>> = Default::default();
             for _ in 0..200_000 {
                 let e = g.next_event();
                 lines_by_page
@@ -597,7 +596,7 @@ mod tests {
     #[test]
     fn pcs_come_from_small_pool() {
         let mut g = generator("libquantum");
-        let pcs: HashSet<u64> = (0..10_000).map(|_| g.next_event().pc).collect();
+        let pcs: DetHashSet<u64> = (0..10_000).map(|_| g.next_event().pc).collect();
         assert!(pcs.len() <= g.spec().behavior.pc_pool);
     }
 
@@ -653,7 +652,7 @@ mod tests {
                 core_offset_pages: 0,
             },
         );
-        let mut first_lines: std::collections::HashMap<u64, u64> = Default::default();
+        let mut first_lines: DetHashMap<u64, u64> = Default::default();
         let mut prefix_repeats = 0;
         let mut revisits = 0;
         let mut prev_page = u64::MAX;
@@ -686,7 +685,7 @@ mod tests {
     fn hot_set_concentrates_accesses() {
         let mut g = generator("astar"); // strong hot set
         let pages = g.footprint_pages();
-        let mut counts: std::collections::HashMap<u64, u64> = Default::default();
+        let mut counts: DetHashMap<u64, u64> = Default::default();
         for _ in 0..100_000 {
             *counts.entry(g.next_event().line.page().raw()).or_insert(0) += 1;
         }

@@ -33,9 +33,6 @@
 //! assert_eq!(suite().len(), 17);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod generator;
 mod suite;
 

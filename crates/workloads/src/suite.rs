@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn names_unique() {
-        let names: std::collections::HashSet<_> = suite().iter().map(|b| b.name).collect();
+        let names: cameo_types::DetHashSet<_> = suite().iter().map(|b| b.name).collect();
         assert_eq!(names.len(), 17);
     }
 

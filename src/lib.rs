@@ -35,9 +35,6 @@
 //! assert!(r.completion > Cycle::ZERO);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use cameo;
 pub use cameo_cachesim as cachesim;
 pub use cameo_memsim as memsim;
@@ -46,3 +43,16 @@ pub use cameo_trace as trace;
 pub use cameo_types as types;
 pub use cameo_vmem as vmem;
 pub use cameo_workloads as workloads;
+
+// Fixture tests of the workspace's lint configuration: each compiles a
+// one-file crate under `[workspace.lints]` and `clippy.toml` and checks
+// which lints reject it (DESIGN.md §8 maps each rule to its lint).
+#[cfg(test)]
+#[path = "lint_fixtures/engine.rs"]
+mod engine;
+#[cfg(test)]
+#[path = "lint_fixtures/passes/mod.rs"]
+mod passes;
+#[cfg(test)]
+#[path = "lint_fixtures/rules.rs"]
+mod rules;

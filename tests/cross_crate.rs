@@ -109,7 +109,7 @@ fn one_copy_invariant_under_real_traffic() {
     let llt = cameo.llt();
     let map = llt.congruence();
     for group in 0..map.groups() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = cameo_repro::types::DetHashSet::default();
         for way in 0..map.ratio() {
             let slot = llt.entry(group).slot_of(way);
             assert!(seen.insert(slot), "group {group}: duplicate slot {slot}");

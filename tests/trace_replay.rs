@@ -103,10 +103,10 @@ fn replay_prefill_matches_touched_pages() {
     let mut generator = TraceGenerator::new(bench, trace_configs(&bench, &cfg)[1]);
     let bytes = TraceWriter::record(Vec::new(), bench.name, &mut generator, 2_000).expect("record");
     let trace = TraceFile::parse(&bytes).expect("parse");
-    let touched: std::collections::HashSet<u64> =
+    let touched: cameo_repro::types::DetHashSet<u64> =
         trace.events.iter().map(|e| e.line.page().raw()).collect();
     let replay = trace.into_replay();
-    let prefill: std::collections::HashSet<u64> = MissStream::prefill_pages(&replay)
+    let prefill: cameo_repro::types::DetHashSet<u64> = MissStream::prefill_pages(&replay)
         .into_iter()
         .map(cameo_repro::types::PageAddr::raw)
         .collect();
