@@ -12,7 +12,10 @@
 //! lets corruption escape (e.g. `none` under `deep-audit`) is recorded as a
 //! failed point instead of killing the sweep. Pass `--checkpoint PATH` to
 //! make the sweep resumable: re-invoking after a kill skips finished
-//! points.
+//! points. The checkpoint opens with the run's system configuration and
+//! each point's key names all three fault rates, so a re-run under other
+//! shared flags (`--seed`, `--scale`, ...) is refused with one `error:`
+//! line (status 2), and one under other rates runs its points afresh.
 //!
 //! Extra flags on top of the shared set (see `cameo_bench::Cli`):
 //!
@@ -202,8 +205,20 @@ mod faulted {
         }
     }
 
-    fn point_key(bench: &str, rate: u32, policy: RecoveryConfig) -> String {
-        format!("{bench}@flip{rate}@{}", policy.label())
+    /// A point's checkpoint key: every fault rate it runs under, since a
+    /// checkpoint answers points by key.
+    fn point_key(
+        bench: &str,
+        rate: u32,
+        flags: &super::FaultFlags,
+        policy: RecoveryConfig,
+    ) -> String {
+        format!(
+            "{bench}@flip{rate}@drop{}@delay{}@{}",
+            flags.drop_ppm,
+            flags.delay_ppm,
+            policy.label()
+        )
     }
 
     /// Entry point of the feature-gated binary (see the module docs).
@@ -230,7 +245,7 @@ mod faulted {
         for bench in &benches {
             for &rate in &flags.rates {
                 for &policy in &policies {
-                    let key = point_key(bench.name, rate, policy);
+                    let key = point_key(bench.name, rate, &flags, policy);
                     grid.insert(key.clone(), (rate, policy));
                     points
                         .push(SweepPoint::new(bench.name, OrgKind::cameo_default()).with_key(key));
@@ -274,25 +289,22 @@ mod faulted {
             chunk_accesses: cli.chunk,
             ..SweepOptions::default()
         };
-        let report = match run_sweep_with(&points, &opts, flags.checkpoint.as_deref(), &build) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("sweep aborted: {e}");
-                std::process::exit(1);
-            }
-        };
+        // The only sweep-fatal errors are the checkpoint's: one written
+        // under other flags, a corrupt one, or failed I/O.
+        let report = run_sweep_with(&points, &opts, flags.checkpoint.as_deref(), &build)
+            .unwrap_or_else(|e| usage_error(&format!("--checkpoint: {e}")));
 
         let mut headers = vec!["bench".to_owned(), "flip ppm".to_owned()];
         headers.extend(policies.iter().map(|p| format!("{} CPI (dIPC)", p.label())));
         let mut table = Table::new(headers);
         for bench in &benches {
             let reference = report
-                .stats_of(&point_key(bench.name, 0, RecoveryConfig::none()))
+                .stats_of(&point_key(bench.name, 0, &flags, RecoveryConfig::none()))
                 .map(cameo_sim::RunStats::cpi);
             for &rate in &flags.rates {
                 let mut row = vec![bench.name.to_owned(), format!("{rate}")];
                 for &policy in &policies {
-                    let cell = match report.stats_of(&point_key(bench.name, rate, policy)) {
+                    let cell = match report.stats_of(&point_key(bench.name, rate, &flags, policy)) {
                         Some(stats) => {
                             let cpi = stats.cpi();
                             match reference {

@@ -3,7 +3,8 @@
 //! Every binary accepts the same flags:
 //!
 //! ```text
-//! --scale N          capacity scale factor (default 128)
+//! --scale N          capacity scale factor: a power of two up to 2^18
+//!                    (default 128)
 //! --cores N          rate-mode cores (default 8)
 //! --instructions N   measured+warmup instructions per core (default 12M)
 //! --seed N           deterministic seed (default 42)

@@ -103,3 +103,37 @@ fn closed_stdout_ends_the_binary_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stderr.contains("Broken pipe"), "{stderr}");
 }
+
+/// A scale that is not a power of two, or is past the largest one every
+/// organization builds at, stops a binary at its flags: one
+/// `error: --scale: ...` line and status 2, before any point runs (a
+/// scale of 3 once passed the flags and panicked in CAMEO's constructor).
+#[test]
+fn invalid_scale_is_an_error_line_before_any_point() {
+    for (bin, scale) in [
+        (env!("CARGO_BIN_EXE_fig13_speedup"), "3"),
+        (env!("CARGO_BIN_EXE_fig13_speedup"), "96"),
+        (env!("CARGO_BIN_EXE_ext_designs"), "524288"),
+    ] {
+        let out = Command::new(bin)
+            .args(["--quick", "--bench", "mcf", "--scale", scale])
+            .output()
+            .expect("the binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} --scale {scale}: {stderr}"
+        );
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{stderr}");
+        assert!(
+            errors[0].starts_with(&format!(
+                "error: --scale: scale {scale} must be a power of two"
+            )),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("[sweep]"), "a point ran: {stderr}");
+        assert!(out.stdout.is_empty(), "a table was printed");
+    }
+}

@@ -6,13 +6,18 @@
 //! exactly — never routed through `f64`), strings, booleans, arrays and
 //! objects.
 //!
-//! The checkpoint file is JSONL — one self-contained record per line,
+//! The checkpoint file is JSONL. It opens with the sweep's
+//! [`SystemConfig`], then holds one self-contained record per line,
 //! appended and flushed as each design point finishes:
 //!
 //! ```text
+//! {"config":{"scale":128,"cores":16,...}}
 //! {"key":"astar::CAMEO","status":"done","attempts":1,"stats":{...}}
 //! {"key":"mcf::CAMEO","status":"failed","attempts":3,"error":"..."}
 //! ```
+//!
+//! Records are matched to points by key alone, so [`resume`] refuses a
+//! file written under any other configuration than the sweep's.
 //!
 //! Append-only records make resume robust: a sweep killed mid-write leaves
 //! at most one truncated final line, which [`load`] skips and
@@ -29,6 +34,7 @@ use std::sync::Mutex;
 use cameo::PredictionCaseCounts;
 use cameo_types::DetHashMap;
 
+use crate::config::SystemConfig;
 use crate::error::SimError;
 use crate::stats::{BandwidthReport, RunStats};
 
@@ -497,6 +503,74 @@ fn stats_from_json(obj: &Json) -> Result<RunStats, String> {
     })
 }
 
+/// `config`'s fields as JSON, one per [`SystemConfig`] field.
+fn config_fields(config: &SystemConfig) -> Vec<(String, Json)> {
+    // Destructured, so a new field cannot be left out of the line.
+    let SystemConfig {
+        scale,
+        cores,
+        instructions_per_core,
+        warmup_fraction,
+        mlp,
+        ipc,
+        seed,
+        llp_entries,
+        freq_epoch,
+    } = *config;
+    vec![
+        ("scale".into(), Json::U64(scale)),
+        ("cores".into(), Json::U64(u64::from(cores))),
+        (
+            "instructions_per_core".into(),
+            Json::U64(instructions_per_core),
+        ),
+        ("warmup_fraction".into(), Json::F64(warmup_fraction)),
+        ("mlp".into(), Json::U64(mlp as u64)),
+        ("ipc".into(), Json::F64(ipc)),
+        ("seed".into(), Json::U64(seed)),
+        ("llp_entries".into(), Json::U64(llp_entries as u64)),
+        ("freq_epoch".into(), Json::U64(freq_epoch)),
+    ]
+}
+
+/// Renders the line a checkpoint opens with: `{"config":{...}}` (no
+/// trailing newline).
+fn render_config(config: &SystemConfig) -> String {
+    Json::Obj(vec![("config".into(), Json::Obj(config_fields(config)))]).render()
+}
+
+/// The configuration object of a checkpoint's opening line, if `line` is
+/// one.
+fn parse_config(line: &str) -> Option<Json> {
+    Json::parse(line).ok()?.get("config").cloned()
+}
+
+/// Checks the configuration `theirs`, read from the checkpoint at `path`,
+/// against the sweep's `config`: every field of either must render the
+/// same. Rendered text, not values, is compared, so a float that renders
+/// as an integer (`2.0` as `2`) matches the integer it parses back as.
+fn check_config(path: &Path, theirs: &Json, config: &SystemConfig) -> Result<(), SimError> {
+    let ours = Json::Obj(config_fields(config));
+    let names = |json: &Json| match json {
+        Json::Obj(fields) => fields.iter().map(|(name, _)| name.clone()).collect(),
+        _ => Vec::new(),
+    };
+    let shown = |json: &Json, field: &str| json.get(field).map_or("absent".into(), Json::render);
+    let differing = names(&ours)
+        .into_iter()
+        .chain(names(theirs))
+        .find(|field| shown(theirs, field) != shown(&ours, field));
+    match differing {
+        None => Ok(()),
+        Some(field) => Err(SimError::Checkpoint(format!(
+            "{} was written under a different configuration: {field} is {} there, {} here",
+            path.display(),
+            shown(theirs, &field),
+            shown(&ours, &field)
+        ))),
+    }
+}
+
 /// Renders one `(key, record)` pair as a single JSONL line (no trailing
 /// newline).
 pub fn render_record(key: &str, record: &PointRecord) -> String {
@@ -547,12 +621,13 @@ pub fn parse_record(line: &str) -> Result<(String, PointRecord), String> {
 
 /// Loads a checkpoint file into a key → record map.
 ///
-/// A missing file is an empty checkpoint. A truncated or corrupt *final*
-/// line — the signature of a sweep killed mid-write — is skipped;
-/// corruption anywhere else is reported, since it means the file is not
-/// what this code wrote. A line whose status is neither `"done"` nor
-/// `"failed"` (such as the `"chunk"` progress markers older sweeps wrote)
-/// counts as corrupt.
+/// A missing file is an empty checkpoint, and the configuration line, when
+/// the file opens with one, is skipped ([`resume`] checks it). A truncated
+/// or corrupt *final* line — the signature of a sweep killed mid-write —
+/// is skipped; corruption anywhere else is reported, since it means the
+/// file is not what this code wrote. A line whose status is neither
+/// `"done"` nor `"failed"` (such as the `"chunk"` progress markers older
+/// sweeps wrote) counts as corrupt.
 ///
 /// # Errors
 ///
@@ -575,6 +650,47 @@ pub fn load(path: &Path) -> Result<DetHashMap<String, PointRecord>, SimError> {
 /// Returns [`SimError::CheckpointIo`] on read/truncate failure and
 /// [`SimError::Checkpoint`] on non-trailing corruption.
 pub fn load_and_repair(path: &Path) -> Result<DetHashMap<String, PointRecord>, SimError> {
+    Ok(load_lines_and_repair(path)?.records)
+}
+
+/// Opens the checkpoint at `path` for a sweep under `config`, to resume
+/// and then append to: repairs a torn trailing record as
+/// [`load_and_repair`] does, checks the file's configuration line against
+/// `config`, writing that line first into a new or empty file, and returns
+/// the records with the [`Writer`] that appends the sweep's own.
+///
+/// # Errors
+///
+/// Returns [`SimError::Checkpoint`] if the file was written under a
+/// different configuration (naming the first field that differs), holds
+/// records without a configuration line, or is corrupt before its last
+/// line, and [`SimError::CheckpointIo`] on I/O failure.
+pub fn resume(
+    path: &Path,
+    config: &SystemConfig,
+) -> Result<(DetHashMap<String, PointRecord>, Writer), SimError> {
+    let loaded = load_lines_and_repair(path)?;
+    match &loaded.config {
+        Some(theirs) => check_config(path, theirs, config)?,
+        None if loaded.records.is_empty() => {}
+        None => {
+            return Err(SimError::Checkpoint(format!(
+                "{}: records without a configuration line, so they cannot be checked \
+                 against this sweep's; remove the file to start over",
+                path.display()
+            )))
+        }
+    }
+    let writer = Writer::open(path)?;
+    if loaded.config.is_none() {
+        writer.write_line(render_config(config))?;
+    }
+    Ok((loaded.records, writer))
+}
+
+/// The body of [`load_and_repair`] and [`resume`]: loads the file and
+/// truncates a torn trailing record away.
+fn load_lines_and_repair(path: &Path) -> Result<LoadedCheckpoint, SimError> {
     let loaded = load_lines(path)?;
     if let Some(tail_offset) = loaded.torn_tail_offset {
         eprintln!(
@@ -589,12 +705,13 @@ pub fn load_and_repair(path: &Path) -> Result<DetHashMap<String, PointRecord>, S
         file.set_len(tail_offset)
             .map_err(|e| io_error(path, "truncate", &e))?;
     }
-    Ok(loaded.records)
+    Ok(loaded)
 }
 
-/// A parsed checkpoint plus the byte offset of a torn trailing record,
-/// when one was found.
+/// A parsed checkpoint: its configuration line's object, its records,
+/// and the byte offset of a torn trailing record, when one was found.
 struct LoadedCheckpoint {
+    config: Option<Json>,
     records: DetHashMap<String, PointRecord>,
     torn_tail_offset: Option<u64>,
 }
@@ -618,6 +735,7 @@ fn io_error(path: &Path, op: &'static str, e: &std::io::Error) -> SimError {
 /// records) resumes without ever holding the file's text in memory.
 fn load_lines(path: &Path) -> Result<LoadedCheckpoint, SimError> {
     let mut loaded = LoadedCheckpoint {
+        config: None,
         records: DetHashMap::default(),
         torn_tail_offset: None,
     };
@@ -656,6 +774,12 @@ fn load_lines(path: &Path) -> Result<LoadedCheckpoint, SimError> {
                 path.display(),
                 failed_line
             )));
+        }
+        if line_no == 1 {
+            if let Some(config) = parse_config(line) {
+                loaded.config = Some(config);
+                continue;
+            }
         }
         match parse_record(line) {
             Ok((key, record)) => {
@@ -732,7 +856,11 @@ impl Writer {
     /// full disk (`StorageFull`) or short write (`WriteZero`) from a
     /// transient error.
     pub fn append(&self, key: &str, record: &PointRecord) -> Result<(), SimError> {
-        let mut line = render_record(key, record);
+        self.write_line(render_record(key, record))
+    }
+
+    /// Appends `line` and a newline in one flushed write.
+    fn write_line(&self, mut line: String) -> Result<(), SimError> {
         line.push('\n');
         let mut file = match self.file.lock() {
             Ok(guard) => guard,
@@ -1048,6 +1176,100 @@ mod tests {
             }
             other => panic!("expected a checkpoint error, got {other:?}"),
         }
+    }
+
+    /// A checkpoint opens with its sweep's configuration line, which
+    /// [`load`] skips and [`resume`] checks field by field.
+    #[test]
+    fn resume_writes_the_config_line_once_and_refuses_another_config() {
+        let path =
+            std::env::temp_dir().join(format!("cameo_ckpt_config_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let config = SystemConfig::default();
+        let (records, writer) = resume(&path, &config).expect("a new file resumes empty");
+        assert!(records.is_empty());
+        let rec = PointRecord::Failed {
+            attempts: 1,
+            error: "e".into(),
+        };
+        writer.append("a::x", &rec).expect("append");
+        drop(writer);
+        let line = render_config(&config);
+        assert!(
+            line.starts_with("{\"config\":{\"scale\":128,\"cores\":16,"),
+            "{line}"
+        );
+        assert!(
+            line.contains("\"ipc\":2,"),
+            "a whole float renders as an integer: {line}"
+        );
+        let text = std::fs::read_to_string(&path).expect("tmp readable");
+        assert_eq!(text, format!("{line}\n{}\n", render_record("a::x", &rec)));
+        assert_eq!(load(&path).expect("loads").len(), 1);
+
+        // The same configuration resumes, without a second config line.
+        let (records, _) = resume(&path, &config).expect("same configuration");
+        assert_eq!(records.get("a::x"), Some(&rec));
+        assert_eq!(std::fs::read_to_string(&path).expect("tmp readable"), text);
+
+        for (other, field) in [
+            (SystemConfig { mlp: 8, ..config }, "mlp is 4 there, 8 here"),
+            (
+                SystemConfig { ipc: 1.5, ..config },
+                "ipc is 2 there, 1.5 here",
+            ),
+            (
+                SystemConfig {
+                    warmup_fraction: 0.25,
+                    ..config
+                },
+                "warmup_fraction is 0.3 there, 0.25 here",
+            ),
+        ] {
+            match resume(&path, &other) {
+                Err(SimError::Checkpoint(detail)) => {
+                    assert!(detail.contains(field), "{detail}");
+                }
+                other => panic!("expected a configuration refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(std::fs::read_to_string(&path).expect("tmp readable"), text);
+        std::fs::remove_file(&path).expect("tmp cleanup");
+    }
+
+    /// Records with no configuration line ahead of them cannot be checked
+    /// against a sweep, so [`resume`] refuses them; [`load`] still reads
+    /// them. A torn configuration line is a torn tail like any other.
+    #[test]
+    fn resume_needs_a_config_line_ahead_of_records() {
+        let path =
+            std::env::temp_dir().join(format!("cameo_ckpt_noconfig_{}.jsonl", std::process::id()));
+        let record = render_record(
+            "a::x",
+            &PointRecord::Failed {
+                attempts: 1,
+                error: "e".into(),
+            },
+        );
+        std::fs::write(&path, format!("{record}\n")).expect("tmp write");
+        assert_eq!(load(&path).expect("loads").len(), 1);
+        match resume(&path, &SystemConfig::default()) {
+            Err(SimError::Checkpoint(detail)) => {
+                assert!(detail.contains("without a configuration line"), "{detail}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+
+        let config = SystemConfig::default();
+        let line = render_config(&config);
+        std::fs::write(&path, &line[..line.len() / 2]).expect("tmp write");
+        let (records, _) = resume(&path, &config).expect("a torn config line is repaired");
+        assert!(records.is_empty());
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("tmp readable"),
+            format!("{line}\n")
+        );
+        std::fs::remove_file(&path).expect("tmp cleanup");
     }
 
     #[test]

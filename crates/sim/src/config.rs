@@ -8,6 +8,9 @@ use cameo_types::ByteSize;
 pub enum ConfigError {
     /// `scale` was zero.
     ZeroScale,
+    /// `scale` was not a power of two, or above [`SystemConfig::MAX_SCALE`]
+    /// (the carried value).
+    InvalidScale(u64),
     /// `cores` was zero.
     ZeroCores,
     /// `instructions_per_core` was zero.
@@ -28,6 +31,11 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroScale => f.write_str("scale must be positive"),
+            ConfigError::InvalidScale(v) => write!(
+                f,
+                "scale {v} must be a power of two no larger than {}",
+                SystemConfig::MAX_SCALE
+            ),
             ConfigError::ZeroCores => f.write_str("need at least one core"),
             ConfigError::ZeroInstructions => f.write_str("need instructions"),
             ConfigError::WarmupOutOfRange(v) => {
@@ -80,6 +88,11 @@ impl SystemConfig {
     pub const FULL_STACKED: ByteSize = ByteSize::from_gib(4);
     /// Full-scale off-chip capacity (12 GiB).
     pub const FULL_OFF_CHIP: ByteSize = ByteSize::from_gib(12);
+    /// The largest scale every organization builds at: 2^18 leaves 16 KiB
+    /// stacked (four pages) and 48 KiB off-chip. Above it a MemCache
+    /// split's memory region rounds to zero pages, and at 2^22 the
+    /// baseline's frame pool is empty.
+    pub const MAX_SCALE: u64 = 1 << 18;
 
     /// Scaled stacked-DRAM capacity.
     pub fn stacked(&self) -> ByteSize {
@@ -107,11 +120,19 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns the first degenerate value found (zero
-    /// scale/cores/instructions, warmup outside `[0, 0.9]`,
+    /// scale/cores/instructions, a scale that is not a power of two or is
+    /// above [`SystemConfig::MAX_SCALE`], warmup outside `[0, 0.9]`,
     /// non-power-of-two LLP table, ...) as a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.scale == 0 {
             return Err(ConfigError::ZeroScale);
+        }
+        // Capacities divide by the scale: a power of two keeps every
+        // scaled capacity a whole number of lines (CAMEO needs off-chip
+        // to be a whole multiple of stacked), and past the cap some
+        // organization's smallest region is empty.
+        if !self.scale.is_power_of_two() || self.scale > Self::MAX_SCALE {
+            return Err(ConfigError::InvalidScale(self.scale));
         }
         if self.cores == 0 {
             return Err(ConfigError::ZeroCores);
@@ -211,10 +232,43 @@ mod tests {
     }
 
     #[test]
+    fn scales_are_powers_of_two_up_to_the_cap() {
+        for scale in [1, 2, 128, 8192, SystemConfig::MAX_SCALE] {
+            let c = SystemConfig {
+                scale,
+                ..Default::default()
+            };
+            assert_eq!(c.validate(), Ok(()), "scale {scale}");
+        }
+    }
+
+    #[test]
     fn degenerate_values_rejected() {
         let base = SystemConfig::default();
         let cases = [
             (SystemConfig { scale: 0, ..base }, ConfigError::ZeroScale),
+            (
+                SystemConfig { scale: 3, ..base },
+                ConfigError::InvalidScale(3),
+            ),
+            (
+                SystemConfig { scale: 96, ..base },
+                ConfigError::InvalidScale(96),
+            ),
+            (
+                SystemConfig {
+                    scale: 1 << 19,
+                    ..base
+                },
+                ConfigError::InvalidScale(1 << 19),
+            ),
+            (
+                SystemConfig {
+                    scale: 1 << 22,
+                    ..base
+                },
+                ConfigError::InvalidScale(1 << 22),
+            ),
             (SystemConfig { cores: 0, ..base }, ConfigError::ZeroCores),
             (
                 SystemConfig {

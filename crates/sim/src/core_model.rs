@@ -1,8 +1,6 @@
 //! The analytic core timing model: fixed base IPC plus memory stalls under
 //! bounded memory-level parallelism.
 
-use std::collections::VecDeque;
-
 use cameo_types::Cycle;
 
 /// Timeline of one core.
@@ -34,8 +32,12 @@ pub struct CoreTimeline {
     /// Counts below this take [`CoreTimeline::cycles_for`]'s exact shift:
     /// `2^53` when `ipc == 2^ipc_log2`, else 0.
     shift_below: u64,
-    mlp: usize,
-    outstanding: VecDeque<Cycle>,
+    /// The MLP window: a ring of exactly `mlp` slots holding the
+    /// outstanding reads' completion times, oldest at `head`.
+    window: Box<[Cycle]>,
+    head: usize,
+    /// Outstanding reads, at most `window.len()`.
+    len: usize,
     instructions: u64,
     stall_cycles: u64,
 }
@@ -58,8 +60,9 @@ impl CoreTimeline {
             ipc,
             ipc_log2: ipc_log2.unwrap_or(0),
             shift_below: if ipc_log2.is_some() { 1 << 53 } else { 0 },
-            mlp,
-            outstanding: VecDeque::with_capacity(mlp),
+            window: vec![Cycle::ZERO; mlp].into_boxed_slice(),
+            head: 0,
+            len: 0,
             instructions: 0,
             stall_cycles: 0,
         }
@@ -112,6 +115,28 @@ impl CoreTimeline {
         self.time += Cycle::new(cycles);
     }
 
+    /// Ring index `i` wrapped once: every caller passes `i < 2 * mlp`.
+    #[inline]
+    fn wrap(&self, i: usize) -> usize {
+        let n = self.window.len();
+        if i >= n {
+            i - n
+        } else {
+            i
+        }
+    }
+
+    /// Whether the window is full, and the cycle the next request must
+    /// wait for: the oldest read's completion if so, else cycle zero,
+    /// which delays nothing. A select, not a branch: the stale slot at
+    /// `head` of an open window is read and discarded.
+    #[inline]
+    fn next_wait(&self) -> (bool, Cycle) {
+        let full = self.len == self.window.len();
+        let oldest = self.window[self.head];
+        (full, if full { oldest } else { Cycle::ZERO })
+    }
+
     /// Predicts when a request following `cycles` more cycles of execution
     /// (from [`CoreTimeline::cycles_for`]) would issue, accounting for an
     /// MLP-window stall — without changing any state. The runner uses this
@@ -119,32 +144,48 @@ impl CoreTimeline {
     /// generated in nondecreasing time order.
     #[inline]
     pub fn projected_issue(&self, cycles: u64) -> Cycle {
-        let t = self.time + Cycle::new(cycles);
-        match self.outstanding.front() {
-            Some(&oldest) if self.outstanding.len() >= self.mlp => t.later(oldest),
-            _ => t,
-        }
+        (self.time + Cycle::new(cycles)).later(self.next_wait().1)
     }
 
     /// Returns the cycle at which the next memory request can issue,
-    /// stalling the core first if the MLP window is full.
+    /// stalling the core first if the MLP window is full. A full window
+    /// frees its oldest slot, so a completion can always be recorded
+    /// after an issue.
     #[inline]
     pub fn issue(&mut self) -> Cycle {
-        if self.outstanding.len() >= self.mlp {
-            if let Some(oldest) = self.outstanding.pop_front() {
-                if oldest > self.time {
-                    self.stall_cycles += (oldest - self.time).raw();
-                    self.time = oldest;
-                }
-            }
-        }
-        self.time
+        let (full, wait) = self.next_wait();
+        let start = self.time.later(wait);
+        self.stall_cycles += (start - self.time).raw();
+        self.time = start;
+        self.head = self.wrap(self.head + usize::from(full));
+        self.len -= usize::from(full);
+        start
+    }
+
+    /// Records the completion of the request just issued: a read holds a
+    /// window slot until `completion`, a write is posted and holds none.
+    /// The completion is written into the first free slot either way and
+    /// counted only for a read, so neither case branches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is full; [`CoreTimeline::issue`] frees a slot.
+    #[inline]
+    pub(crate) fn complete(&mut self, completion: Cycle, is_read: bool) {
+        assert!(self.len < self.window.len(), "MLP window full: issue first");
+        let tail = self.wrap(self.head + self.len);
+        self.window[tail] = completion;
+        self.len += usize::from(is_read);
     }
 
     /// Records an outstanding demand read completing at `completion`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is full; [`CoreTimeline::issue`] frees a slot.
     #[inline]
     pub fn complete_read(&mut self, completion: Cycle) {
-        self.outstanding.push_back(completion);
+        self.complete(completion, true);
     }
 
     /// Stalls the core completely until `until` (page-fault servicing).
@@ -154,17 +195,16 @@ impl CoreTimeline {
             self.time = until;
         }
         // The OS ran; all overlapped requests have long completed.
-        self.outstanding.clear();
+        self.len = 0;
     }
 
     /// Drains outstanding requests, returning the cycle the core finally
     /// goes idle. Call at end of simulation.
     pub fn drain(&mut self) -> Cycle {
-        while let Some(c) = self.outstanding.pop_front() {
-            if c > self.time {
-                self.time = c;
-            }
+        for i in 0..self.len {
+            self.time = self.time.later(self.window[self.wrap(self.head + i)]);
         }
+        self.len = 0;
         self.time
     }
 
@@ -172,7 +212,7 @@ impl CoreTimeline {
     /// after warmup): the core restarts at cycle zero with an empty window.
     pub fn reset(&mut self) {
         self.time = Cycle::ZERO;
-        self.outstanding.clear();
+        self.len = 0;
         self.instructions = 0;
         self.stall_cycles = 0;
     }
@@ -316,6 +356,126 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn infinite_ipc_rejected() {
         CoreTimeline::new(f64::INFINITY, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MLP window full")]
+    fn completing_into_a_full_window_panics() {
+        let mut c = CoreTimeline::new(1.0, 2);
+        c.complete_read(Cycle::new(10));
+        c.complete_read(Cycle::new(20));
+        c.complete(Cycle::new(30), false);
+    }
+
+    /// The `VecDeque` window the ring replaced, kept as the reference the
+    /// ring must match step for step.
+    struct DequeWindow {
+        time: Cycle,
+        mlp: usize,
+        outstanding: std::collections::VecDeque<Cycle>,
+        stall_cycles: u64,
+    }
+
+    impl DequeWindow {
+        fn new(mlp: usize) -> Self {
+            Self {
+                time: Cycle::ZERO,
+                mlp,
+                outstanding: std::collections::VecDeque::new(),
+                stall_cycles: 0,
+            }
+        }
+
+        fn projected_issue(&self, cycles: u64) -> Cycle {
+            let t = self.time + Cycle::new(cycles);
+            match self.outstanding.front() {
+                Some(&oldest) if self.outstanding.len() >= self.mlp => t.later(oldest),
+                _ => t,
+            }
+        }
+
+        fn issue(&mut self) -> Cycle {
+            if self.outstanding.len() >= self.mlp {
+                if let Some(oldest) = self.outstanding.pop_front() {
+                    if oldest > self.time {
+                        self.stall_cycles += (oldest - self.time).raw();
+                        self.time = oldest;
+                    }
+                }
+            }
+            self.time
+        }
+
+        fn block_until(&mut self, until: Cycle) {
+            if until > self.time {
+                self.stall_cycles += (until - self.time).raw();
+                self.time = until;
+            }
+            self.outstanding.clear();
+        }
+
+        fn drain(&mut self) -> Cycle {
+            while let Some(c) = self.outstanding.pop_front() {
+                if c > self.time {
+                    self.time = c;
+                }
+            }
+            self.time
+        }
+    }
+
+    /// Random sequences of every operation at `mlp` 1..=8: the ring keeps
+    /// the deque's time, stall cycles and projection after every step.
+    /// Completions are recorded only with a slot free, as the runner
+    /// records them after an issue.
+    #[test]
+    fn ring_window_matches_the_deque() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(29);
+        for mlp in 1..=8 {
+            let mut ring = CoreTimeline::new(1.0, mlp);
+            let mut deque = DequeWindow::new(mlp);
+            for _ in 0..20_000 {
+                match rng.gen_range(0..100u32) {
+                    0..=24 => {
+                        let cycles = rng.gen_range(0..60);
+                        ring.advance(cycles, cycles);
+                        deque.time += Cycle::new(cycles);
+                    }
+                    25..=49 => assert_eq!(ring.issue(), deque.issue()),
+                    50..=84 if deque.outstanding.len() < mlp => {
+                        // Completions may land before the current time.
+                        let completion = (deque.time + Cycle::new(rng.gen_range(0..500)))
+                            .saturating_sub(Cycle::new(100));
+                        let is_read = rng.gen_bool(0.7);
+                        if rng.gen_bool(0.5) && is_read {
+                            ring.complete_read(completion);
+                        } else {
+                            ring.complete(completion, is_read);
+                        }
+                        if is_read {
+                            deque.outstanding.push_back(completion);
+                        }
+                    }
+                    85..=90 => {
+                        let until = deque.time + Cycle::new(rng.gen_range(0..300));
+                        let until = until.saturating_sub(Cycle::new(150));
+                        ring.block_until(until);
+                        deque.block_until(until);
+                    }
+                    91..=95 => assert_eq!(ring.drain(), deque.drain()),
+                    96..=97 => {
+                        ring.reset();
+                        deque = DequeWindow::new(mlp);
+                    }
+                    _ => {}
+                }
+                assert_eq!(ring.time(), deque.time);
+                assert_eq!(ring.stall_cycles(), deque.stall_cycles);
+                let cycles = rng.gen_range(0..200);
+                assert_eq!(ring.projected_issue(cycles), deque.projected_issue(cycles));
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,16 @@ pub enum SimError {
         /// Instructions the offending core had retired when it tripped.
         retired_instructions: u64,
     },
+    /// A core's projected issue time does not fit the runner's event-order
+    /// key: the organization reported a completion far past any real run.
+    IssueTimeOverflow {
+        /// The core whose issue time overflowed.
+        core: usize,
+        /// The projected issue cycle.
+        cycle: u64,
+        /// The latest cycle a key can carry at this core count.
+        limit: u64,
+    },
     /// A design point panicked inside the crash-isolated harness.
     PointPanicked {
         /// The design-point key (`bench::org`).
@@ -43,7 +53,8 @@ pub enum SimError {
         /// Rendering of the last attempt's error.
         last_error: String,
     },
-    /// Reading or writing the sweep checkpoint file failed.
+    /// The sweep checkpoint file is corrupt before its last line, or was
+    /// written under a different configuration than the sweep's.
     Checkpoint(String),
     /// A checkpoint (or journal) file failed an I/O operation, with the
     /// [`std::io::ErrorKind`] preserved so callers can tell persistent
@@ -78,6 +89,11 @@ impl std::fmt::Display for SimError {
                 "cycle-budget watchdog expired: {retired_instructions} instructions \
                  retired within the {budget_cycles}-cycle budget"
             ),
+            SimError::IssueTimeOverflow { core, cycle, limit } => write!(
+                f,
+                "core {core}'s projected issue cycle {cycle} is past the event order's \
+                 range (at most {limit})"
+            ),
             SimError::PointPanicked { key, message } => {
                 write!(f, "design point {key} panicked: {message}")
             }
@@ -89,7 +105,7 @@ impl std::fmt::Display for SimError {
                 f,
                 "design point {key} failed after {attempts} attempts; last error: {last_error}"
             ),
-            SimError::Checkpoint(detail) => write!(f, "checkpoint I/O failed: {detail}"),
+            SimError::Checkpoint(detail) => write!(f, "invalid checkpoint: {detail}"),
             SimError::CheckpointIo {
                 path,
                 op,

@@ -338,6 +338,34 @@ mod tests {
         }
     }
 
+    /// [`SystemConfig::MAX_SCALE`] is a scale every organization builds
+    /// and runs at, MemCache's smallest split included.
+    #[test]
+    fn every_org_runs_at_the_largest_scale() {
+        let config = SystemConfig {
+            scale: SystemConfig::MAX_SCALE,
+            ..quick()
+        };
+        let bench = cameo_workloads::require("mcf").expect("suite benchmark");
+        for kind in [
+            OrgKind::Baseline,
+            OrgKind::AlloyCache,
+            OrgKind::LhCache,
+            OrgKind::TlmStatic,
+            OrgKind::TlmDynamic,
+            OrgKind::TlmFreq,
+            OrgKind::TlmOracle,
+            OrgKind::cameo_default(),
+            OrgKind::MemCache { split_percent: 25 },
+            OrgKind::MemCache { split_percent: 75 },
+            OrgKind::DoubleUse,
+        ] {
+            let stats = try_run_benchmark(&bench, kind, &config, None)
+                .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
+            assert!(stats.demand_reads > 0, "{}", kind.label());
+        }
+    }
+
     #[test]
     fn invalid_config_is_a_typed_error_for_every_org() {
         use crate::checkpoint::PointRecord;
@@ -366,6 +394,7 @@ mod tests {
         };
         let cases = [
             (with(|c| c.scale = 0), ConfigError::ZeroScale),
+            (with(|c| c.scale = 3), ConfigError::InvalidScale(3)),
             (with(|c| c.cores = 0), ConfigError::ZeroCores),
             (
                 with(|c| c.llp_entries = 3),

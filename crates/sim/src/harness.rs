@@ -12,7 +12,8 @@
 //!   ([`SweepOptions::watchdog_cycles`]), so a point that stops making
 //!   progress is cut off deterministically;
 //! * appending each outcome to a JSONL checkpoint
-//!   ([`crate::checkpoint`]), so re-invoking the sweep resumes.
+//!   ([`crate::checkpoint`]), so re-invoking the sweep under the same
+//!   configuration resumes (and one under another is refused).
 //!
 //! Points are independent (each builds its own organization and streams
 //! from the per-point configuration), so the harness also runs them in
@@ -214,7 +215,9 @@ pub type TracedOrgBuilder<'b> = dyn Fn(&SweepPoint, &SystemConfig) -> TracedBuil
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Checkpoint`] on checkpoint I/O failure. Per-point
+/// Returns [`SimError::CheckpointIo`] on checkpoint I/O failure and
+/// [`SimError::Checkpoint`] on a corrupt checkpoint or one written under
+/// a different configuration (see [`checkpoint::resume`]). Per-point
 /// failures do *not* abort the sweep; they are recorded in the report.
 pub fn run_sweep(
     points: &[SweepPoint],
@@ -243,9 +246,11 @@ pub fn run_sweep(
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Checkpoint`] on checkpoint I/O failure — the only
-/// sweep-fatal condition. Under concurrency the failure stops further
-/// claims; in-flight points finish but the sweep returns the error.
+/// Returns [`SimError::CheckpointIo`] on checkpoint I/O failure and
+/// [`SimError::Checkpoint`] on a corrupt checkpoint or one written under
+/// a different configuration, the only sweep-fatal conditions. Under
+/// concurrency an append failure stops further claims; in-flight points
+/// finish but the sweep returns the error.
 pub fn run_sweep_with(
     points: &[SweepPoint],
     opts: &SweepOptions,
@@ -277,7 +282,9 @@ pub fn run_sweep_with(
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Checkpoint`] on checkpoint I/O failure. Per-point
+/// Returns [`SimError::CheckpointIo`] on checkpoint I/O failure and
+/// [`SimError::Checkpoint`] on a corrupt checkpoint or one written under
+/// a different configuration (see [`checkpoint::resume`]). Per-point
 /// failures do *not* abort the sweep; they are recorded in the report.
 pub fn run_sweep_traced_with(
     points: &[SweepPoint],
@@ -288,14 +295,14 @@ pub fn run_sweep_traced_with(
     // The sweep appends to the checkpoint it resumes from, so a torn
     // trailing record (killed mid-append) must be truncated away first —
     // plain `load` would leave the unterminated tail for the first fresh
-    // append to corrupt.
-    let resume = match checkpoint_path {
-        Some(path) => checkpoint::load_and_repair(path)?,
+    // append to corrupt — and records are matched by key alone, so the
+    // file must have been written under this sweep's configuration.
+    let (resume, writer) = match checkpoint_path {
+        Some(path) => {
+            let (records, writer) = checkpoint::resume(path, &opts.config)?;
+            (records, Some(writer))
+        }
         None => Default::default(),
-    };
-    let writer = match checkpoint_path {
-        Some(path) => Some(checkpoint::Writer::open(path)?),
-        None => None,
     };
     let _quiet = QuietPanics::install();
 
@@ -824,13 +831,12 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("cameo_sweep_kill_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
+        let (_, writer) =
+            checkpoint::resume(&path, &quick_opts().config).expect("tmp dir is writable");
         for i in [1, 3] {
-            checkpoint::append(
-                &path,
-                &truth.outcomes[i].point.key,
-                &truth.outcomes[i].record,
-            )
-            .expect("tmp dir is writable");
+            writer
+                .append(&truth.outcomes[i].point.key, &truth.outcomes[i].record)
+                .expect("tmp dir is writable");
         }
 
         let resumed_opts = SweepOptions {
@@ -957,6 +963,60 @@ mod tests {
             second.stats_of("astar::Baseline"),
             first.stats_of("astar::Baseline")
         );
+        std::fs::remove_file(&path).expect("tmp cleanup");
+    }
+
+    /// Records are matched to points by key alone, so a checkpoint
+    /// written under one configuration must not answer a sweep under
+    /// another: the refusal names the first field that differs, leaves
+    /// the file as it was, and the first configuration still resumes
+    /// every point.
+    #[test]
+    fn checkpoint_of_another_configuration_is_refused() {
+        let path =
+            std::env::temp_dir().join(format!("cameo_sweep_config_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let points = [
+            SweepPoint::new("astar", OrgKind::Baseline),
+            SweepPoint::new("milc", OrgKind::Baseline),
+        ];
+        let a = quick_opts();
+        let first = run_sweep(&points, &a, Some(&path)).expect("tmp dir is writable");
+        assert_eq!(first.completed(), 2);
+        let written = std::fs::read_to_string(&path).expect("checkpoint readable");
+
+        let b = SweepOptions {
+            config: SystemConfig {
+                seed: a.config.seed + 1,
+                ..a.config
+            },
+            ..a
+        };
+        let err = run_sweep_with(&points, &b, Some(&path), &|point, _| {
+            panic!("point {} ran under a refused checkpoint", point.key)
+        })
+        .expect_err("a different seed is refused");
+        match &err {
+            SimError::Checkpoint(detail) => assert!(
+                detail.contains("different configuration: seed is 42 there, 43 here"),
+                "{detail}"
+            ),
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("checkpoint readable"),
+            written,
+            "a refused resume leaves the file as it was"
+        );
+
+        let again = run_sweep_with(&points, &a, Some(&path), &|point, _| {
+            panic!("point {} should have been resumed", point.key)
+        })
+        .expect("the writing configuration resumes");
+        assert_eq!(again.resumed(), points.len());
+        for point in &points {
+            assert_eq!(again.stats_of(&point.key), first.stats_of(&point.key));
+        }
         std::fs::remove_file(&path).expect("tmp cleanup");
     }
 

@@ -29,70 +29,81 @@ struct CoreState<S> {
     pending_cycles: u64,
 }
 
-/// Projected issue time of a core that retired all of its instructions.
-/// Projected issue times are real cycle counts and sit many orders of
-/// magnitude below this; the watchdog trips long before any clock could
-/// approach it.
-const CORE_DONE: u64 = u64::MAX;
+/// The key of a core that retired all of its instructions. Every live
+/// key sits strictly below it ([`IssueKeys::set`] refuses a time that
+/// would not).
+const RETIRED: u64 = u64::MAX;
 
-/// A winner (tournament) tree over the cores' projected issue times. Each
-/// internal node holds the earlier of its two children's winners, ties to
-/// the lower index, so the root is the `(time, index)` lexicographic
-/// minimum: the event interleaving every golden pins depends on that
-/// order, ties included. Changing one core's time replays only the
-/// log2(cores) matches on its leaf's path.
-struct WinnerTree {
-    /// Projected issue time per leaf; leaves past the last core hold
-    /// [`CORE_DONE`].
-    times: Vec<u64>,
-    /// `winners[leaves + i] = i`; internal node `n` holds the winner of
-    /// nodes `2n` and `2n + 1`, and node 1 is the root. Node 0 is unused.
-    winners: Vec<usize>,
+/// The cores' projected issue times as one packed key per core,
+/// `time << core_bits | core` (`core_bits` the bits the core count
+/// needs), or [`RETIRED`]. Keys order by time first and core second, so
+/// the smallest key is the `(time, core)` lexicographic minimum, ties to
+/// the lower core: the event interleaving every golden pins depends on
+/// that order. [`IssueKeys::earliest`] is a branch-free minimum over the
+/// keys and [`IssueKeys::set`] one store.
+struct IssueKeys {
+    /// One key per core, padded with [`RETIRED`] to a multiple of four.
+    keys: Box<[u64]>,
+    core_bits: u32,
+    /// The latest time a key can carry below [`RETIRED`].
+    max_time: u64,
 }
 
-impl WinnerTree {
-    fn new(mut times: Vec<u64>) -> Self {
-        let leaves = times.len().next_power_of_two();
-        times.resize(leaves, CORE_DONE);
-        let mut winners = vec![0; leaves];
-        winners.extend(0..leaves);
-        let mut tree = Self { times, winners };
-        for node in (1..leaves).rev() {
-            tree.replay(node);
+impl IssueKeys {
+    /// Keys for `cores` cores, all retired.
+    fn new(cores: usize) -> Self {
+        let core_bits = usize::BITS - cores.saturating_sub(1).leading_zeros();
+        Self {
+            keys: vec![RETIRED; cores.next_multiple_of(4)].into_boxed_slice(),
+            core_bits,
+            max_time: (RETIRED >> core_bits) - 1,
         }
-        tree
-    }
-
-    /// Re-runs the match at internal node `node`. The left child's winner
-    /// has the lower index, so it keeps ties.
-    #[inline]
-    fn replay(&mut self, node: usize) {
-        let left = self.winners[2 * node];
-        let right = self.winners[2 * node + 1];
-        self.winners[node] = if self.times[right] < self.times[left] {
-            right
-        } else {
-            left
-        };
     }
 
     /// Index of the core with the earliest projected issue time, ties to
-    /// the lowest index, or `None` once every core is done.
+    /// the lowest index, or `None` once every core is retired.
+    ///
+    /// Four running minima, one per key index modulo four, in scalar
+    /// registers. The vectorized reduction a plain `min` fold compiles to
+    /// reads the key [`IssueKeys::set`] just stored as half of a 16-byte
+    /// load, which store forwarding cannot serve; on steady-gcc that stall
+    /// gave back nearly all of the gain over the winner tree.
     #[inline]
     fn earliest(&self) -> Option<usize> {
-        let w = self.winners[1];
-        (self.times[w] != CORE_DONE).then_some(w)
+        let mut lanes = [RETIRED; 4];
+        for group in self.keys.chunks_exact(4) {
+            lanes[0] = lanes[0].min(group[0]);
+            lanes[1] = lanes[1].min(group[1]);
+            lanes[2] = lanes[2].min(group[2]);
+            lanes[3] = lanes[3].min(group[3]);
+        }
+        let min = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
+        (min != RETIRED).then_some((min & ((1 << self.core_bits) - 1)) as usize)
     }
 
-    /// Sets core `idx`'s projected issue time.
+    /// Sets core `core`'s projected issue time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::IssueTimeOverflow`] if `time` does not fit a
+    /// key below [`RETIRED`].
     #[inline]
-    fn set(&mut self, idx: usize, time: u64) {
-        self.times[idx] = time;
-        let mut node = (self.times.len() + idx) / 2;
-        while node > 0 {
-            self.replay(node);
-            node /= 2;
+    fn set(&mut self, core: usize, time: Cycle) -> Result<(), SimError> {
+        if time.raw() > self.max_time {
+            return Err(SimError::IssueTimeOverflow {
+                core,
+                cycle: time.raw(),
+                limit: self.max_time,
+            });
         }
+        self.keys[core] = time.raw() << self.core_bits | core as u64;
+        Ok(())
+    }
+
+    /// Marks core `core` retired.
+    #[inline]
+    fn retire(&mut self, core: usize) {
+        self.keys[core] = RETIRED;
     }
 }
 
@@ -143,11 +154,13 @@ impl<'a> Runner<'a> {
     ///
     /// # Panics
     ///
-    /// Panics only on internal invariant violations; prefer
-    /// [`Runner::try_run`] in batch settings.
+    /// Panics on internal invariant violations, or if the organization
+    /// reports a completion past the event order's range
+    /// ([`SimError::IssueTimeOverflow`]); prefer [`Runner::try_run`] in
+    /// batch settings.
     pub fn run(&self, org: &mut dyn MemoryOrganization) -> RunStats {
         self.try_run(org, None)
-            .expect("unbudgeted run with generated streams cannot report a runner error")
+            .expect("an unbudgeted run fails only on an issue time past the key range")
     }
 
     /// Runs with caller-provided per-core miss streams — e.g. recorded
@@ -157,14 +170,14 @@ impl<'a> Runner<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `streams` is empty.
+    /// Panics if `streams` is empty, or as [`Runner::run`] does.
     pub fn run_with_streams<S: MissStream>(
         &self,
         org: &mut dyn MemoryOrganization,
         streams: Vec<S>,
     ) -> RunStats {
         self.try_run_with_streams(org, streams, None)
-            .expect("unbudgeted run was handed at least one stream")
+            .expect("an unbudgeted run was handed streams and keyed every issue time")
     }
 
     /// Like [`Runner::run`], with an optional cycle-budget watchdog: if any
@@ -175,7 +188,9 @@ impl<'a> Runner<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::WatchdogExpired`] when the budget trips.
+    /// Returns [`SimError::WatchdogExpired`] when the budget trips, or
+    /// [`SimError::IssueTimeOverflow`] when a core's projected issue time
+    /// passes the event order's range.
     pub fn try_run(
         &self,
         org: &mut dyn MemoryOrganization,
@@ -196,8 +211,10 @@ impl<'a> Runner<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptyStreams`] if `streams` is empty, or
-    /// [`SimError::WatchdogExpired`] when the budget trips.
+    /// Returns [`SimError::EmptyStreams`] if `streams` is empty,
+    /// [`SimError::WatchdogExpired`] when the budget trips, or
+    /// [`SimError::IssueTimeOverflow`] when a core's projected issue time
+    /// passes the event order's range.
     pub fn try_run_with_streams<S: MissStream>(
         &self,
         org: &mut dyn MemoryOrganization,
@@ -257,7 +274,7 @@ pub enum SessionStatus {
 pub struct RunSession<S> {
     bench: String,
     cores: Vec<CoreState<S>>,
-    next_issue: WinnerTree,
+    next_issue: IssueKeys,
     warmup_instr: u64,
     /// Cores that have retired `warmup_instr` instructions; the measured
     /// region starts when all have.
@@ -283,8 +300,10 @@ impl<S: MissStream> RunSession<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] on an invalid configuration and
-    /// [`SimError::EmptyStreams`] if `streams` is empty.
+    /// Returns [`SimError::Config`] on an invalid configuration,
+    /// [`SimError::EmptyStreams`] if `streams` is empty, and
+    /// [`SimError::IssueTimeOverflow`] if a stream's first gap ends past
+    /// the event order's range.
     pub fn new(
         bench: &BenchSpec,
         cfg: &SystemConfig,
@@ -334,15 +353,13 @@ impl<S: MissStream> RunSession<S> {
             })
             .collect();
 
-        // Per-core projected issue times ([`CORE_DONE`] once retired).
-        // The projection includes MLP-window stalls so device accesses
-        // are generated in (approximately) nondecreasing time order.
-        let next_issue = WinnerTree::new(
-            cores
-                .iter()
-                .map(|c| c.timeline.projected_issue(c.pending_cycles).raw())
-                .collect(),
-        );
+        // Per-core projected issue times. The projection includes
+        // MLP-window stalls so device accesses are generated in
+        // (approximately) nondecreasing time order.
+        let mut next_issue = IssueKeys::new(cores.len());
+        for (i, c) in cores.iter().enumerate() {
+            next_issue.set(i, c.timeline.projected_issue(c.pending_cycles))?;
+        }
 
         let core_len = cores.len();
         Ok(Self {
@@ -377,6 +394,8 @@ impl<S: MissStream> RunSession<S> {
     /// passes `budget_cycles` — the budget is over the *simulated* clock,
     /// which is monotonic across steps, so passing the same budget to
     /// every step bounds the whole run exactly as the one-shot path does.
+    /// Returns [`SimError::IssueTimeOverflow`] when a core's projected
+    /// issue time passes the range of its event-order key.
     pub fn step(
         &mut self,
         org: &mut dyn MemoryOrganization,
@@ -425,8 +444,8 @@ impl<S: MissStream> RunSession<S> {
                     if self.measuring {
                         self.faults += 1;
                     }
-                } else if !event.is_write {
-                    core.timeline.complete_read(result.completion);
+                } else {
+                    core.timeline.complete(result.completion, !event.is_write);
                 }
                 if self.measuring {
                     if event.is_write {
@@ -457,15 +476,15 @@ impl<S: MissStream> RunSession<S> {
                 }
             }
 
-            let next = if finished_instructions < self.total_instr {
+            if finished_instructions < self.total_instr {
                 let core = &mut self.cores[idx];
                 core.pending = core.stream.next_event();
                 core.pending_cycles = core.timeline.cycles_for(core.pending.gap_instructions);
-                core.timeline.projected_issue(core.pending_cycles).raw()
+                self.next_issue
+                    .set(idx, core.timeline.projected_issue(core.pending_cycles))?;
             } else {
-                CORE_DONE
-            };
-            self.next_issue.set(idx, next);
+                self.next_issue.retire(idx);
+            }
         }
         if self.next_issue.earliest().is_none() {
             // The budget ran out exactly at retirement; finish now rather
@@ -539,9 +558,10 @@ mod tests {
         Runner::new(bench, cfg).expect("test config is valid")
     }
 
-    /// The linear scan the winner tree replaced.
+    /// The linear scan that the winner tree, and then the packed keys,
+    /// replaced; a retired core holds [`RETIRED`].
     fn earliest_by_scan(next_issue: &[u64]) -> Option<usize> {
-        let mut best = CORE_DONE;
+        let mut best = RETIRED;
         let mut idx = None;
         for (i, &t) in next_issue.iter().enumerate() {
             if t < best {
@@ -553,33 +573,100 @@ mod tests {
     }
 
     #[test]
-    fn winner_tree_matches_the_scan() {
+    fn issue_keys_match_the_scan() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
-        // Times from a small range so ties are common; one draw in five
-        // retires the core.
-        let draw = |rng: &mut rand::rngs::SmallRng| {
-            if rng.gen_range(0..5u32) == 0 {
-                CORE_DONE
-            } else {
-                rng.gen_range(0..6u64)
-            }
-        };
         for cores in 1..=40usize {
-            let mut times: Vec<u64> = (0..cores).map(|_| draw(&mut rng)).collect();
-            let mut tree = WinnerTree::new(times.clone());
-            assert_eq!(tree.earliest(), earliest_by_scan(&times));
+            let mut keys = IssueKeys::new(cores);
+            let max_time = keys.max_time;
+            let mut times = vec![RETIRED; cores];
+            assert_eq!(keys.earliest(), None);
             for _ in 0..400 {
                 let i = rng.gen_range(0..cores);
-                times[i] = draw(&mut rng);
-                tree.set(i, times[i]);
-                assert_eq!(tree.earliest(), earliest_by_scan(&times), "{times:?}");
+                // Times from a small range so ties are common, or at the
+                // top of the key range; one draw in five retires the core.
+                times[i] = match rng.gen_range(0..10u32) {
+                    0 | 1 => RETIRED,
+                    2 => max_time - rng.gen_range(0..3u64),
+                    _ => rng.gen_range(0..6u64),
+                };
+                if times[i] == RETIRED {
+                    keys.retire(i);
+                } else {
+                    keys.set(i, Cycle::new(times[i]))
+                        .expect("inside the key range");
+                }
+                assert_eq!(keys.earliest(), earliest_by_scan(&times), "{times:?}");
             }
             for i in 0..cores {
-                tree.set(i, CORE_DONE);
+                keys.retire(i);
             }
-            assert_eq!(tree.earliest(), None);
+            assert_eq!(keys.earliest(), None);
+            let err = keys.set(cores - 1, Cycle::new(max_time + 1));
+            assert_eq!(
+                err,
+                Err(SimError::IssueTimeOverflow {
+                    core: cores - 1,
+                    cycle: max_time + 1,
+                    limit: max_time,
+                })
+            );
         }
+    }
+
+    /// An organization whose every access completes at one fixed cycle.
+    struct CompletesAt(Cycle);
+
+    impl MemoryOrganization for CompletesAt {
+        fn name(&self) -> &'static str {
+            "CompletesAt"
+        }
+        fn access(&mut self, _now: Cycle, _access: &Access) -> crate::org::OrgResult {
+            crate::org::OrgResult {
+                completion: self.0,
+                serviced_by: cameo_types::ServiceLocation::OffChip,
+                faulted: false,
+            }
+        }
+        fn visible_capacity(&self) -> cameo_types::ByteSize {
+            cameo_types::ByteSize::from_gib(1)
+        }
+        fn bandwidth(&self) -> crate::stats::BandwidthReport {
+            crate::stats::BandwidthReport::default()
+        }
+        fn faults(&self) -> u64 {
+            0
+        }
+        fn service_counts(&self) -> (u64, u64) {
+            (0, 0)
+        }
+        fn prefill(&mut self, _page: cameo_types::PageAddr) {}
+        fn reset_stats(&mut self) {}
+    }
+
+    /// A read that completes past the key range fills a one-slot window,
+    /// so the core's next projected issue cannot be keyed: the run stops
+    /// with the typed error instead of misordering cores.
+    #[test]
+    fn completion_past_the_key_range_is_a_typed_error() {
+        let cfg = SystemConfig {
+            mlp: 1,
+            ..quick_config()
+        };
+        // Two cores: one core bit, so times up to 2^63 - 2 fit.
+        let limit = (u64::MAX >> 1) - 1;
+        let mut org = CompletesAt(Cycle::new(limit + 1));
+        let err = runner("astar", &cfg)
+            .try_run(&mut org, None)
+            .expect_err("the completion is past the key range");
+        assert!(
+            matches!(
+                err,
+                SimError::IssueTimeOverflow { cycle, limit: l, .. }
+                    if cycle == limit + 1 && l == limit
+            ),
+            "{err}"
+        );
     }
 
     #[test]

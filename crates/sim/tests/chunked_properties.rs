@@ -99,11 +99,14 @@ proptest! {
         let truth = run_sweep(&points, &opts(seed, 1, None), None)
             .expect("no checkpoint I/O involved");
 
-        // Forge the kill artifact: points 1 and 3 finished, points 0 and
-        // 2 did not.
+        // Forge the kill artifact: the configuration line, then points 1
+        // and 3 finished, points 0 and 2 did not.
         let path = scratch("kill");
+        let (_, writer) = checkpoint::resume(&path, &opts(seed, 1, None).config)
+            .expect("tmp dir is writable");
         for i in [1usize, 3] {
-            checkpoint::append(&path, &truth.outcomes[i].point.key, &truth.outcomes[i].record)
+            writer
+                .append(&truth.outcomes[i].point.key, &truth.outcomes[i].record)
                 .expect("tmp dir is writable");
         }
         if torn_tail {
