@@ -137,3 +137,25 @@ fn invalid_scale_is_an_error_line_before_any_point() {
         assert!(out.stdout.is_empty(), "a table was printed");
     }
 }
+
+/// An `mlp` above `SystemConfig::MAX_MLP` stops a binary at its flags:
+/// one `error: --mlp: ...` line and status 2, before any point runs (2^60
+/// once passed the flags and every point panicked allocating its window).
+#[test]
+fn mlp_above_the_cap_is_an_error_line_before_any_point() {
+    let mlp = "1152921504606846976";
+    let out = Command::new(env!("CARGO_BIN_EXE_fig13_speedup"))
+        .args(["--quick", "--bench", "mcf", "--jobs", "1", "--mlp", mlp])
+        .output()
+        .expect("the binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].starts_with(&format!("error: --mlp: MLP {mlp} is above the largest")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("[sweep]"), "a point ran: {stderr}");
+    assert!(out.stdout.is_empty(), "a table was printed");
+}

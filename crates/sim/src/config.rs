@@ -19,6 +19,8 @@ pub enum ConfigError {
     WarmupOutOfRange(f64),
     /// `mlp` was zero.
     ZeroMlp,
+    /// `mlp` was above [`SystemConfig::MAX_MLP`] (the carried value).
+    MlpTooLarge(usize),
     /// `ipc` was not a positive finite number (the carried value).
     InvalidIpc(f64),
     /// `llp_entries` was not a power of two (the carried value).
@@ -42,6 +44,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "warmup fraction {v} outside [0, 0.9]")
             }
             ConfigError::ZeroMlp => f.write_str("MLP must be positive"),
+            ConfigError::MlpTooLarge(v) => {
+                write!(f, "MLP {v} is above the largest, {}", SystemConfig::MAX_MLP)
+            }
             ConfigError::InvalidIpc(v) => write!(f, "IPC {v} must be positive and finite"),
             ConfigError::LlpEntriesNotPowerOfTwo(v) => {
                 write!(f, "LLP table size {v} must be a power of two")
@@ -93,6 +98,11 @@ impl SystemConfig {
     /// split's memory region rounds to zero pages, and at 2^22 the
     /// baseline's frame pool is empty.
     pub const MAX_SCALE: u64 = 1 << 18;
+    /// The largest `mlp`: every core allocates a window of `mlp`
+    /// completion times, 8 KiB per core at the cap, where an unbounded
+    /// value asked for more memory than exists. The paper's cores overlap
+    /// 4 requests (the default).
+    pub const MAX_MLP: usize = 1024;
 
     /// Scaled stacked-DRAM capacity.
     pub fn stacked(&self) -> ByteSize {
@@ -121,8 +131,9 @@ impl SystemConfig {
     ///
     /// Returns the first degenerate value found (zero
     /// scale/cores/instructions, a scale that is not a power of two or is
-    /// above [`SystemConfig::MAX_SCALE`], warmup outside `[0, 0.9]`,
-    /// non-power-of-two LLP table, ...) as a [`ConfigError`].
+    /// above [`SystemConfig::MAX_SCALE`], warmup outside `[0, 0.9]`, an
+    /// `mlp` of zero or above [`SystemConfig::MAX_MLP`], non-power-of-two
+    /// LLP table, ...) as a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.scale == 0 {
             return Err(ConfigError::ZeroScale);
@@ -145,6 +156,9 @@ impl SystemConfig {
         }
         if self.mlp == 0 {
             return Err(ConfigError::ZeroMlp);
+        }
+        if self.mlp > Self::MAX_MLP {
+            return Err(ConfigError::MlpTooLarge(self.mlp));
         }
         // Written so that NaN fails too: every comparison with NaN is false.
         if !(self.ipc > 0.0 && self.ipc.is_finite()) {
@@ -245,6 +259,11 @@ mod tests {
     #[test]
     fn degenerate_values_rejected() {
         let base = SystemConfig::default();
+        let at_cap = SystemConfig {
+            mlp: SystemConfig::MAX_MLP,
+            ..base
+        };
+        assert_eq!(at_cap.validate(), Ok(()));
         let cases = [
             (SystemConfig { scale: 0, ..base }, ConfigError::ZeroScale),
             (
@@ -285,6 +304,20 @@ mod tests {
                 ConfigError::WarmupOutOfRange(0.95),
             ),
             (SystemConfig { mlp: 0, ..base }, ConfigError::ZeroMlp),
+            (
+                SystemConfig {
+                    mlp: SystemConfig::MAX_MLP + 1,
+                    ..base
+                },
+                ConfigError::MlpTooLarge(SystemConfig::MAX_MLP + 1),
+            ),
+            (
+                SystemConfig {
+                    mlp: 1 << 60,
+                    ..base
+                },
+                ConfigError::MlpTooLarge(1 << 60),
+            ),
             (
                 SystemConfig { ipc: 0.0, ..base },
                 ConfigError::InvalidIpc(0.0),

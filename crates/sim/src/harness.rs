@@ -18,12 +18,12 @@
 //! Points are independent (each builds its own organization and streams
 //! from the per-point configuration), so the harness also runs them in
 //! parallel: [`SweepOptions::jobs`] workers claim points off a shared
-//! cursor ([`crate::pool`]), outcomes funnel through one internally
-//! synchronized [`checkpoint::Writer`], and the report is assembled in
-//! canonical input order — a parallel sweep's [`SweepReport`] compares
-//! equal to the serial one, and its checkpoint resumes identically (the
-//! on-disk record *order* is completion order, which [`checkpoint::load`]
-//! never depends on).
+//! cursor (the crate's scoped-thread `pool`), outcomes funnel through one
+//! internally synchronized [`checkpoint::Writer`], and the report is
+//! assembled in canonical input order — a parallel sweep's
+//! [`SweepReport`] compares equal to the serial one, and its checkpoint
+//! resumes identically (the on-disk record *order* is completion order,
+//! which [`checkpoint::load`] never depends on).
 //!
 //! Host-side wall-clock per point is recorded alongside — see
 //! [`PointOutcome::wall_nanos`] — but deliberately excluded from report

@@ -97,8 +97,8 @@ pub trait MemoryOrganization: Send {
     /// per-page effects identical to calling [`Self::prefill`] on each.
     /// Organizations backed by a [`cameo_vmem::Vmm`] override this with
     /// one batched translation call so the (large) prefill transient
-    /// pays the page-table sizing and dispatch cost once instead of per
-    /// page.
+    /// pays the dispatch cost once per batch instead of per page. The
+    /// runner hands over its prefill order in batches of 4096 pages.
     fn prefill_batch(&mut self, pages: &[cameo_types::PageAddr]) {
         for &page in pages {
             self.prefill(page);

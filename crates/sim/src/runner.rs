@@ -1,7 +1,9 @@
 //! The multi-core event loop driving an organization with rate-mode
 //! workload copies.
 
-use cameo_types::{Access, AccessKind, CoreId, Cycle};
+use std::ops::Range;
+
+use cameo_types::{Access, AccessKind, CoreId, Cycle, PageAddr};
 use cameo_workloads::{BenchSpec, MissEvent, MissStream, TraceConfig, TraceGenerator};
 
 use crate::config::SystemConfig;
@@ -246,6 +248,65 @@ impl<'a> Runner<'a> {
     }
 }
 
+/// Pages per `prefill_batch` call of [`prefill_interleaved`].
+const PREFILL_CHUNK: usize = 4096;
+
+/// One stream's prefill pages: the range it reports, or else its list.
+enum PrefillPages {
+    Range(Range<u64>),
+    List(Vec<PageAddr>),
+}
+
+impl PrefillPages {
+    fn of<S: MissStream>(stream: &S) -> Self {
+        match stream.prefill_range() {
+            Some(range) => Self::Range(range),
+            None => Self::List(stream.prefill_pages()),
+        }
+    }
+
+    fn len(&self) -> u64 {
+        match self {
+            Self::Range(range) => range.end.saturating_sub(range.start),
+            Self::List(list) => list.len() as u64,
+        }
+    }
+
+    /// Page `i`, if the stream has that many.
+    fn get(&self, i: u64) -> Option<PageAddr> {
+        match self {
+            Self::Range(range) => (i < self.len()).then(|| PageAddr::new(range.start + i)),
+            Self::List(list) => usize::try_from(i).ok().and_then(|i| list.get(i)).copied(),
+        }
+    }
+}
+
+/// Pre-touches every stream's prefill pages through `org`, round-robin
+/// across the streams (page `i` of every stream that has one, then page
+/// `i + 1`), in `prefill_batch` calls of at most [`PREFILL_CHUNK`] pages.
+/// Only streams without a [`MissStream::prefill_range`] are listed, so a
+/// generator's footprint costs no host memory here. The order, and with
+/// it every placement decision, is the per-page loop's.
+fn prefill_interleaved<S: MissStream>(streams: &[S], org: &mut dyn MemoryOrganization) {
+    let sources: Vec<PrefillPages> = streams.iter().map(PrefillPages::of).collect();
+    let longest = sources.iter().map(PrefillPages::len).max().unwrap_or(0);
+    let mut chunk = Vec::with_capacity(PREFILL_CHUNK);
+    for i in 0..longest {
+        for source in &sources {
+            if let Some(page) = source.get(i) {
+                chunk.push(page);
+                if chunk.len() == PREFILL_CHUNK {
+                    org.prefill_batch(&chunk);
+                    chunk.clear();
+                }
+            }
+        }
+    }
+    if !chunk.is_empty() {
+        org.prefill_batch(&chunk);
+    }
+}
+
 /// What a bounded [`RunSession::step`] left behind.
 #[derive(Debug)]
 pub enum SessionStatus {
@@ -321,23 +382,7 @@ impl<S: MissStream> RunSession<S> {
         // every copy (interleaved across cores so residency is fair when
         // the footprint exceeds memory) to absorb the compulsory-fault
         // transient that the paper's 20 B-instruction slices amortize away.
-        // The interleaved order is materialized first so one batched call
-        // covers the whole transient; the order (and therefore every
-        // placement decision) is exactly the per-page loop's.
-        let prefill_lists: Vec<Vec<cameo_types::PageAddr>> =
-            streams.iter().map(MissStream::prefill_pages).collect();
-        let longest = prefill_lists.iter().map(Vec::len).max().unwrap_or(0);
-        let mut interleaved = Vec::with_capacity(prefill_lists.iter().map(Vec::len).sum());
-        for i in 0..longest {
-            for list in &prefill_lists {
-                if let Some(page) = list.get(i) {
-                    interleaved.push(*page);
-                }
-            }
-        }
-        drop(prefill_lists);
-        org.prefill_batch(&interleaved);
-        drop(interleaved);
+        prefill_interleaved(&streams, org);
 
         let cores: Vec<CoreState<S>> = streams
             .into_iter()
@@ -667,6 +712,122 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// An organization that records the pages of every prefill call.
+    #[derive(Default)]
+    struct PrefillRecorder {
+        batches: Vec<Vec<PageAddr>>,
+    }
+
+    impl MemoryOrganization for PrefillRecorder {
+        fn name(&self) -> &'static str {
+            "PrefillRecorder"
+        }
+        fn access(&mut self, now: Cycle, _access: &Access) -> crate::org::OrgResult {
+            crate::org::OrgResult {
+                completion: now,
+                serviced_by: cameo_types::ServiceLocation::OffChip,
+                faulted: false,
+            }
+        }
+        fn visible_capacity(&self) -> cameo_types::ByteSize {
+            cameo_types::ByteSize::from_gib(1)
+        }
+        fn bandwidth(&self) -> crate::stats::BandwidthReport {
+            crate::stats::BandwidthReport::default()
+        }
+        fn faults(&self) -> u64 {
+            0
+        }
+        fn service_counts(&self) -> (u64, u64) {
+            (0, 0)
+        }
+        fn prefill(&mut self, page: PageAddr) {
+            self.batches.push(vec![page]);
+        }
+        fn prefill_batch(&mut self, pages: &[PageAddr]) {
+            self.batches.push(pages.to_vec());
+        }
+        fn reset_stats(&mut self) {}
+    }
+
+    /// A stream that only lists its prefill pages, scattered rather than
+    /// a range, as a recorded-trace replay does.
+    struct ListedPages(Vec<PageAddr>);
+
+    impl MissStream for ListedPages {
+        fn next_event(&mut self) -> MissEvent {
+            MissEvent {
+                gap_instructions: 1,
+                line: self.0[0].first_line(),
+                pc: 0,
+                is_write: false,
+            }
+        }
+        fn footprint_pages(&self) -> u64 {
+            self.0.len() as u64
+        }
+        fn prefill_pages(&self) -> Vec<PageAddr> {
+            self.0.clone()
+        }
+    }
+
+    /// The prefill order the runner materialized before it streamed it:
+    /// every stream's list, then one interleaved copy of them.
+    fn retired_interleave(streams: &[Box<dyn MissStream>]) -> Vec<PageAddr> {
+        let lists: Vec<Vec<PageAddr>> = streams.iter().map(MissStream::prefill_pages).collect();
+        let longest = lists.iter().map(Vec::len).max().unwrap_or(0);
+        let mut interleaved = Vec::new();
+        for i in 0..longest {
+            for list in &lists {
+                if let Some(page) = list.get(i) {
+                    interleaved.push(*page);
+                }
+            }
+        }
+        interleaved
+    }
+
+    /// Streams of unequal lengths, two generators reporting ranges around
+    /// one listed stream, prefill in the retired interleave's order, in
+    /// full chunks and one short last one.
+    #[test]
+    fn streamed_prefill_matches_the_retired_interleave() {
+        let cfg = quick_config();
+        let generator = |name: &str, scale: u64, offset: u64| -> Box<dyn MissStream> {
+            let bench = cameo_workloads::require(name).expect("suite benchmark");
+            let tc = TraceConfig {
+                scale,
+                seed: 1,
+                core_offset_pages: offset,
+            };
+            Box::new(TraceGenerator::new(bench, tc))
+        };
+        let listed = (0..1500u64)
+            .map(|i| PageAddr::new(1_000_000 + i * 7 % 1501))
+            .collect();
+        let streams = vec![
+            generator("mcf", 2048, 0),
+            Box::new(ListedPages(listed)),
+            generator("gcc", 256, 500_000),
+        ];
+        let lengths: Vec<u64> = streams.iter().map(MissStream::footprint_pages).collect();
+        assert!(
+            lengths[0] > lengths[2] && lengths[2] > lengths[1],
+            "{lengths:?}"
+        );
+        assert!(streams[0].prefill_range().is_some() && streams[1].prefill_range().is_none());
+        let want = retired_interleave(&streams);
+        assert!(want.len() > 2 * PREFILL_CHUNK, "{}", want.len());
+
+        let mut org = PrefillRecorder::default();
+        let bench = cameo_workloads::require("gcc").expect("suite benchmark");
+        RunSession::new(&bench, &cfg, &mut org, streams).expect("valid session");
+        let (last, full) = org.batches.split_last().expect("prefill ran");
+        assert!(full.iter().all(|b| b.len() == PREFILL_CHUNK));
+        assert!(!last.is_empty() && last.len() <= PREFILL_CHUNK);
+        assert_eq!(org.batches.concat(), want);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! (reads of untouched frames see `Frame::default()` without
 //! materializing anything), and the free list stores only its deviations
 //! from the virtual initial state, so untouched address space costs
-//! nothing. Region and frame queries on the free list answer from an
-//! ordered index over those deviations, built by the first such query.
+//! nothing. Referenced and dirty bits sit apart from the table, two bits
+//! per frame in one dense array allocated by the first grant. Region and
+//! frame queries on the free list answer from an ordered index over those
+//! deviations, built by the first such query.
 //! Both structures reproduce the eager versions' observable behavior
 //! exactly — same RNG draws, same pop order, same victim choices — which
 //! the property tests in this module pin.
@@ -44,47 +46,110 @@ pub enum Region {
     Any,
 }
 
-/// One frame's state in a word: `page + 1` of the resident page in the
-/// low 62 bits (0 when the frame is free), the referenced bit at bit 63
-/// and the dirty bit at bit 62. The zero word is a free frame, so a
-/// zeroed leaf is a leaf of free frames.
+/// The page resident in a frame as a word: `page + 1`, 0 when the frame
+/// is free, so a zeroed leaf is a leaf of free frames. The frame's
+/// referenced and dirty bits are in [`FrameFlags`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 struct Frame(u64);
 
 impl Frame {
-    const REFERENCED: u64 = 1 << 63;
-    const DIRTY: u64 = 1 << 62;
-    /// The `page + 1` field.
-    const PAGE: u64 = Self::DIRTY - 1;
-
-    /// A frame just granted to `page`: referenced and clean.
+    /// A frame granted to `page`.
     ///
     /// # Panics
     ///
-    /// Panics if `page + 1` does not fit 62 bits. Every page a `LineAddr`
-    /// can name (below 2^58) fits.
+    /// Panics if `page + 1` does not fit the word, which only the page
+    /// `u64::MAX` misses.
     #[inline]
     fn holding(page: PageAddr) -> Self {
         let raw = page.raw();
-        assert!(raw < Self::PAGE, "page {page} does not fit a frame record");
-        Self((raw + 1) | Self::REFERENCED)
+        assert!(raw < u64::MAX, "page {page} does not fit a frame record");
+        Self(raw + 1)
     }
 
     /// The page resident in the frame, `None` when it is free.
     #[inline]
     fn resident(self) -> Option<PageAddr> {
-        let key = self.0 & Self::PAGE;
-        (key != 0).then(|| PageAddr::new(key - 1))
+        (self.0 != 0).then(|| PageAddr::new(self.0 - 1))
+    }
+}
+
+/// The referenced bit of a frame's [`FrameFlags`] pair.
+const REFERENCED: u64 = 0b01;
+/// The dirty bit of a frame's [`FrameFlags`] pair.
+const DIRTY: u64 = 0b10;
+
+/// Every frame's referenced and dirty bits, two per frame and 32 frames
+/// to a word, in one dense array: 8 KiB for the 32 Ki frames of the
+/// default 1/128 machine, where the frame table is 256 KiB. The `touch`
+/// of every translation hit then updates a word that stays in cache,
+/// not a random line of the frame table. The array is allocated by the
+/// pool's first grant, so an untouched pool holds none of it; until then
+/// every frame reads clear, as a free frame does.
+#[derive(Clone, Debug)]
+struct FrameFlags {
+    words: Vec<u64>,
+    /// Words the array takes once allocated.
+    len: usize,
+}
+
+impl FrameFlags {
+    fn new(total: usize) -> Self {
+        Self {
+            words: Vec::new(),
+            len: total.div_ceil(32),
+        }
     }
 
+    /// Word and bit offset of frame `idx`'s pair.
     #[inline]
-    fn referenced(self) -> bool {
-        self.0 & Self::REFERENCED != 0
+    fn locate(idx: usize) -> (usize, u32) {
+        (idx / 32, (idx % 32) as u32 * 2)
     }
 
+    /// Frame `idx`'s pair.
     #[inline]
-    fn dirty(self) -> bool {
-        self.0 & Self::DIRTY != 0
+    fn get(&self, idx: usize) -> u64 {
+        let (word, shift) = Self::locate(idx);
+        self.words.get(word).map_or(0, |w| w >> shift & 0b11)
+    }
+
+    /// Sets `bits` in frame `idx`'s pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool never granted a frame.
+    #[inline]
+    fn mark(&mut self, idx: usize, bits: u64) {
+        let (word, shift) = Self::locate(idx);
+        self.words[word] |= bits << shift;
+    }
+
+    /// Clears `bits` in frame `idx`'s pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool never granted a frame.
+    #[inline]
+    fn clear(&mut self, idx: usize, bits: u64) {
+        let (word, shift) = Self::locate(idx);
+        self.words[word] &= !(bits << shift);
+    }
+
+    /// Replaces frame `idx`'s pair with `bits`, allocating the array on
+    /// first use.
+    #[inline]
+    fn set(&mut self, idx: usize, bits: u64) {
+        if self.words.is_empty() {
+            self.words = vec![0; self.len];
+        }
+        let (word, shift) = Self::locate(idx);
+        let w = &mut self.words[word];
+        *w = *w & !(0b11 << shift) | bits << shift;
+    }
+
+    /// Host bytes allocated.
+    fn bytes(&self) -> u64 {
+        (self.words.len() * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -136,12 +201,6 @@ impl FrameTable {
         let leaf = self.leaves[idx / LEAF_FRAMES]
             .get_or_insert_with(|| vec![Frame::default(); LEAF_FRAMES].into_boxed_slice());
         &mut leaf[idx % LEAF_FRAMES]
-    }
-
-    /// Referenced bit of frame `idx` (no allocation).
-    #[inline]
-    fn referenced(&self, idx: usize) -> bool {
-        self.get(idx).referenced()
     }
 
     /// Leaves currently materialized (host-memory gauge).
@@ -399,6 +458,7 @@ impl FreeList {
 #[derive(Clone, Debug)]
 pub struct FrameAllocator {
     frames: FrameTable,
+    flags: FrameFlags,
     stacked_frames: u64,
     free: FreeList,
     /// Free-list entries below `stacked_frames`: a region with no free
@@ -433,8 +493,10 @@ impl FrameAllocator {
             total <= u64::from(u32::MAX),
             "frame pool exceeds u32::MAX frames"
         );
+        let frames = usize::try_from(total).expect("pool fits memory");
         Self {
-            frames: FrameTable::new(usize::try_from(total).expect("pool fits memory")),
+            frames: FrameTable::new(frames),
+            flags: FrameFlags::new(frames),
             stacked_frames,
             // Pop order: lowest index last so stacked frames are handed out
             // first when no region is requested — matching an OS that
@@ -464,13 +526,13 @@ impl FrameAllocator {
         self.free.len()
     }
 
-    /// Host bytes resident for per-frame state: materialized leaves plus
-    /// free-list overrides — the gauge DESIGN.md §16 tracks against the
-    /// eager layout's `total_frames × 8 B`.
+    /// Host bytes resident for per-frame state: materialized leaves,
+    /// free-list overrides and the flag words — the gauge DESIGN.md §16
+    /// tracks against the eager layout's `total_frames × 8 B`.
     pub fn host_resident_bytes(&self) -> u64 {
         let leaf_bytes = (self.frames.resident_leaves() * LEAF_FRAMES) as u64
             * std::mem::size_of::<Frame>() as u64;
-        leaf_bytes + self.free.overrides.len() as u64 * OVERRIDE_BYTES
+        leaf_bytes + self.free.overrides.len() as u64 * OVERRIDE_BYTES + self.flags.bytes()
     }
 
     /// Region of a given frame.
@@ -489,16 +551,22 @@ impl FrameAllocator {
         self.frames.get(frame.0 as usize).resident()
     }
 
-    /// Marks a frame referenced (on access) and optionally dirty.
+    /// Marks a resident frame referenced (on access) and optionally
+    /// dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool never granted a frame, so none is resident.
+    #[inline]
     pub fn touch(&mut self, frame: FrameId, write: bool) {
-        let f = self.frames.get_mut(frame.0 as usize);
-        f.0 |= Frame::REFERENCED | if write { Frame::DIRTY } else { 0 };
+        self.flags
+            .mark(frame.0 as usize, REFERENCED | if write { DIRTY } else { 0 });
     }
 
     /// Whether the page in `frame` has been written since it was loaded.
     #[inline]
     pub fn is_dirty(&self, frame: FrameId) -> bool {
-        self.frames.get(frame.0 as usize).dirty()
+        self.flags.get(frame.0 as usize) & DIRTY != 0
     }
 
     /// Takes a frame for `page`, preferring `region`, evicting a victim if
@@ -517,9 +585,13 @@ impl FrameAllocator {
             None if !self.free.is_empty() => self.remove_free(0),
             None => self.select_victim(rng),
         };
-        let slot = self.frames.get_mut(frame.0 as usize);
-        let evicted = slot.resident().map(|p| (p, slot.dirty()));
+        let idx = frame.0 as usize;
+        let slot = self.frames.get_mut(idx);
+        let evicted = slot
+            .resident()
+            .map(|p| (p, self.flags.get(idx) & DIRTY != 0));
         *slot = Frame::holding(page);
+        self.flags.set(idx, REFERENCED);
         Took { frame, evicted }
     }
 
@@ -533,6 +605,7 @@ impl FrameAllocator {
         let slot = self.frames.get_mut(frame.0 as usize);
         assert!(slot.resident().is_some(), "double free of frame {frame:?}");
         *slot = Frame::default();
+        self.flags.set(frame.0 as usize, 0);
         self.free.push(frame.0);
         if frame.0 < self.stacked_frames {
             self.free_stacked += 1;
@@ -546,14 +619,18 @@ impl FrameAllocator {
     ///
     /// Panics if either frame is free.
     pub fn swap_frames(&mut self, a: FrameId, b: FrameId) {
-        let fa = self.frames.get(a.0 as usize);
-        let fb = self.frames.get(b.0 as usize);
+        let (a, b) = (a.0 as usize, b.0 as usize);
+        let fa = self.frames.get(a);
+        let fb = self.frames.get(b);
         assert!(
             fa.resident().is_some() && fb.resident().is_some(),
             "swap requires both frames resident"
         );
-        *self.frames.get_mut(a.0 as usize) = fb;
-        *self.frames.get_mut(b.0 as usize) = fa;
+        *self.frames.get_mut(a) = fb;
+        *self.frames.get_mut(b) = fa;
+        let (flags_a, flags_b) = (self.flags.get(a), self.flags.get(b));
+        self.flags.set(a, flags_b);
+        self.flags.set(b, flags_a);
     }
 
     /// Installs `page` into a specific free frame (used by oracle
@@ -568,6 +645,7 @@ impl FrameAllocator {
             self.remove_free(pos);
         }
         *self.frames.get_mut(idx) = Frame::holding(page);
+        self.flags.set(idx, REFERENCED);
         true
     }
 
@@ -618,18 +696,16 @@ impl FrameAllocator {
         // Five random probes for an unreferenced frame.
         for _ in 0..5 {
             let idx = rng.gen_range(0..self.frames.len());
-            if !self.frames.referenced(idx) {
+            if self.flags.get(idx) & REFERENCED == 0 {
                 return FrameId(idx as u64);
             }
         }
-        // Clock sweep: clear referenced bits until one stays clear. The
-        // clear only writes frames whose bit is set, so the sweep never
-        // materializes an untouched leaf.
+        // Clock sweep: clear referenced bits until one stays clear.
         loop {
             let idx = self.clock_hand;
             self.clock_hand = (self.clock_hand + 1) % self.frames.len();
-            if self.frames.referenced(idx) {
-                self.frames.get_mut(idx).0 &= !Frame::REFERENCED;
+            if self.flags.get(idx) & REFERENCED != 0 {
+                self.flags.clear(idx, REFERENCED);
             } else {
                 return FrameId(idx as u64);
             }
@@ -820,14 +896,17 @@ mod tests {
         let mut fa = FrameAllocator::new(1 << 16, 3 << 16);
         let mut r = rng();
         // The first stacked slot in list order holds the highest stacked
-        // frame, 65535: its leaf materializes, and the list's last value
-        // (frame 0) moves into the vacated slot as one override.
+        // frame, 65535: its leaf materializes, the list's last value
+        // (frame 0) moves into the vacated slot as one override, and the
+        // flag words, two bits for each of the 4 × 2^16 frames, are
+        // allocated.
+        let flag_bytes = (4 << 16) * 2 / 8;
         let took = fa.take(PageAddr::new(0), Region::Stacked, &mut r);
         assert_eq!(took.frame, FrameId((1 << 16) - 1));
-        assert_eq!(fa.host_resident_bytes(), 4096 * 8 + 8);
+        assert_eq!(fa.host_resident_bytes(), 4096 * 8 + 8 + flag_bytes);
         // A second frame in the same leaf costs nothing more.
         fa.place_into(PageAddr::new(1), FrameId((1 << 16) - 2));
-        assert_eq!(fa.host_resident_bytes(), 4096 * 8 + 2 * 8);
+        assert_eq!(fa.host_resident_bytes(), 4096 * 8 + 2 * 8 + flag_bytes);
     }
 
     /// A frame record is one word.
@@ -837,34 +916,60 @@ mod tests {
         assert_eq!(OVERRIDE_BYTES, 8);
     }
 
-    /// The word round-trips page 0 and the largest page a `LineAddr` can
-    /// name with every referenced/dirty combination, and the free word is
-    /// zero.
+    /// The word round-trips page 0, the largest page a `LineAddr` can
+    /// name and the largest page the word holds, and the free word is
+    /// zero. Every referenced/dirty pair round-trips through the flag
+    /// words at both ends of a word and of the array, leaving the
+    /// neighbouring frames' pairs as they were; an array never allocated
+    /// reads clear.
     #[test]
     fn frame_word_round_trips_every_page_and_bit() {
         assert_eq!(Frame::default().resident(), None);
-        assert!(!Frame::default().referenced() && !Frame::default().dirty());
         let largest = cameo_types::LineAddr::new(u64::MAX).page();
-        for page in [PageAddr::new(0), PageAddr::new(1), largest] {
+        for page in [
+            PageAddr::new(0),
+            PageAddr::new(1),
+            largest,
+            PageAddr::new(u64::MAX - 1),
+        ] {
+            assert_eq!(Frame::holding(page).resident(), Some(page), "{page}");
+        }
+        let total = 100;
+        let mut flags = FrameFlags::new(total);
+        assert!((0..total).all(|idx| flags.get(idx) == 0));
+        assert_eq!(flags.bytes(), 0);
+        for idx in [0, 1, 30, 31, 32, 63, 64, total - 1] {
             for (referenced, dirty) in [(false, false), (false, true), (true, false), (true, true)]
             {
-                let mut f = Frame::holding(page);
+                let neighbours = [idx.wrapping_sub(1), idx + 1].map(|n| (n, n % 4));
+                for (n, bits) in neighbours.into_iter().filter(|&(n, _)| n < total) {
+                    flags.set(n, bits as u64);
+                }
+                flags.set(idx, REFERENCED);
                 if !referenced {
-                    f.0 &= !Frame::REFERENCED;
+                    flags.clear(idx, REFERENCED);
                 }
                 if dirty {
-                    f.0 |= Frame::DIRTY;
+                    flags.mark(idx, DIRTY);
                 }
-                assert_eq!(f.resident(), Some(page), "{page}");
-                assert_eq!((f.referenced(), f.dirty()), (referenced, dirty), "{page}");
+                let pair = flags.get(idx);
+                assert_eq!(
+                    (pair & REFERENCED != 0, pair & DIRTY != 0),
+                    (referenced, dirty),
+                    "frame {idx}"
+                );
+                for (n, bits) in neighbours.into_iter().filter(|&(n, _)| n < total) {
+                    assert_eq!(flags.get(n), bits as u64, "frame {n} beside {idx}");
+                }
             }
         }
+        assert_eq!(flags.bytes(), 4 * 8);
     }
 
     #[test]
     #[should_panic(expected = "does not fit a frame record")]
     fn page_past_the_frame_word_rejected() {
-        Frame::holding(PageAddr::new(Frame::PAGE));
+        Frame::holding(PageAddr::new(u64::MAX));
     }
 
     #[test]
@@ -874,7 +979,7 @@ mod tests {
     }
 
     /// A frame's state as separate fields: the reference model of the
-    /// packed [`Frame`] word.
+    /// [`Frame`] word and its [`FrameFlags`] pair.
     #[derive(Clone, Copy, PartialEq, Debug, Default)]
     struct FieldFrame {
         resident: Option<PageAddr>,
@@ -882,12 +987,14 @@ mod tests {
         dirty: bool,
     }
 
-    impl From<Frame> for FieldFrame {
-        fn from(f: Frame) -> Self {
+    impl FieldFrame {
+        /// Frame `idx` of `pool`, its bits read through the flag words.
+        fn of(pool: &FrameAllocator, idx: usize) -> Self {
+            let pair = pool.flags.get(idx);
             Self {
-                resident: f.resident(),
-                referenced: f.referenced(),
-                dirty: f.dirty(),
+                resident: pool.frames.get(idx).resident(),
+                referenced: pair & REFERENCED != 0,
+                dirty: pair & DIRTY != 0,
             }
         }
     }
@@ -1100,7 +1207,7 @@ mod tests {
                 }
             }
             for f in 0..total {
-                let got = FieldFrame::from(lazy.frames.get(f as usize));
+                let got = FieldFrame::of(&lazy, f as usize);
                 let want = eager.frames[f as usize];
                 proptest::prop_assert_eq!(got, want, "frame {} diverged", f);
                 proptest::prop_assert_eq!(lazy.is_dirty(FrameId(f)), want.dirty);

@@ -1,7 +1,7 @@
 //! The trace generator: turns a [`BenchSpec`]'s locality model into a
 //! deterministic post-L3 miss stream.
 
-use cameo_types::{LineAddr, LINES_PER_PAGE};
+use cameo_types::{Divisor, LineAddr, LINES_PER_PAGE};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -38,7 +38,7 @@ pub struct MissEvent {
 }
 
 /// Events drawn per [`TraceGenerator::refill`].
-const BLOCK: usize = 16;
+const BLOCK: usize = 64;
 
 /// Deterministic synthetic miss-stream generator for one benchmark copy.
 ///
@@ -46,7 +46,7 @@ const BLOCK: usize = 16;
 /// and uniform cold accesses are mixed according to the benchmark's
 /// [`Behavior`](crate::Behavior).
 ///
-/// Events are drawn 16 at a time into a ring that
+/// Events are drawn 64 at a time into a ring that
 /// [`TraceGenerator::next_event`] pops; the stream is exactly the one a
 /// generator drawing each event on demand produces.
 ///
@@ -70,6 +70,11 @@ pub struct TraceGenerator {
     hot_pages: u64,
     /// Lines used per page (spatial density), at least one.
     used_lines: u64,
+    /// `LINES_PER_PAGE - used_lines + 1`: the used-lines window can start
+    /// at any of these lines.
+    window_starts: Divisor,
+    /// Slots in each of the hot and cold PC ranges (at least one).
+    pc_span: Divisor,
     mean_gap: f64,
     /// The behavior's stream, hot-access and write probabilities as
     /// [`threshold`]s.
@@ -117,6 +122,7 @@ impl TraceGenerator {
         let hot_pages = ((pages as f64 * spec.behavior.hot_fraction) as u64).max(1);
         let used_lines =
             ((LINES_PER_PAGE as f64 * spec.behavior.page_density).round() as u64).clamp(1, 64);
+        let pc_span = ((spec.behavior.pc_pool.saturating_sub(4)) / 2).max(1) as u64;
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xCA3E0_CA3E0);
         let stream_page = rng.gen_range(0..pages);
         Self {
@@ -126,6 +132,8 @@ impl TraceGenerator {
             pages,
             hot_pages,
             used_lines,
+            window_starts: Divisor::new(LINES_PER_PAGE as u64 - used_lines + 1),
+            pc_span: Divisor::new(pc_span),
             mean_gap: 1000.0 / spec.mpki,
             stream_threshold: threshold(spec.behavior.stream_prob),
             hot_threshold: threshold(spec.behavior.hot_access_prob),
@@ -199,7 +207,9 @@ impl TraceGenerator {
     ///
     /// Each event's first draw is its gap's uniform and the gap feeds
     /// nothing else in the event, so the RNG stream is consumed exactly as
-    /// when every event is drawn whole, one at a time.
+    /// when every event is drawn whole, one at a time. Drawing them whole
+    /// here measured slower: the `ln` call inside the draw loop spills
+    /// the walkers' state around it.
     #[inline(never)]
     fn refill(&mut self) {
         let mut uniforms = [0.0f64; BLOCK];
@@ -236,9 +246,18 @@ impl TraceGenerator {
         }
     }
 
-    fn pc_of(&self, pool_slot: usize) -> u64 {
+    /// The instruction address of PC-pool slot `pool_slot`, wrapped into
+    /// the pool. Every slot the walkers pick lies inside a pool of six or
+    /// more, so only smaller pools take the `%`.
+    fn pc_of(&self, pool_slot: u64) -> u64 {
+        let pool = self.spec.behavior.pc_pool as u64;
+        let slot = if pool_slot < pool {
+            pool_slot
+        } else {
+            pool_slot % pool
+        };
         // Synthetic code region: 4-byte spaced "instructions".
-        0x0040_0000 + (pool_slot as u64 % self.spec.behavior.pc_pool as u64) * 4
+        0x0040_0000 + slot * 4
     }
 
     fn next_stream(&mut self) -> (u64, u64, u64) {
@@ -248,14 +267,15 @@ impl TraceGenerator {
             self.stream_line = 0;
             self.stream_remaining = self.rng.gen_range(64..512);
             let slot = self.rng.gen_range(0..4.min(self.spec.behavior.pc_pool));
-            self.stream_pc = self.pc_of(slot);
+            self.stream_pc = self.pc_of(slot as u64);
         }
         self.stream_remaining -= 1;
         let out = (self.stream_page, self.stream_line, self.stream_pc);
         self.stream_line += 1;
         if self.stream_line >= LINES_PER_PAGE as u64 {
             self.stream_line = 0;
-            self.stream_page = (self.stream_page + 1) % self.pages;
+            // `stream_page < pages`, so the next page is at most `pages`.
+            self.stream_page = wrap_once(self.stream_page + 1, self.pages);
         }
         out
     }
@@ -266,14 +286,12 @@ impl TraceGenerator {
     /// a resident working set are not the ones paging through cold data —
     /// the separation is what makes PC-indexed last-location prediction
     /// effective (paper Section V-B).
-    fn hot_pc_slot(&self, page: u64) -> usize {
-        let span = ((self.spec.behavior.pc_pool.saturating_sub(4)) / 2).max(1);
-        4 + (page % span as u64) as usize
+    fn hot_pc_slot(&self, page: u64) -> u64 {
+        4 + self.pc_span.remainder(page)
     }
 
-    fn cold_pc_slot(&self, page: u64) -> usize {
-        let span = ((self.spec.behavior.pc_pool.saturating_sub(4)) / 2).max(1);
-        4 + span + (page % span as u64) as usize
+    fn cold_pc_slot(&self, page: u64) -> u64 {
+        4 + self.pc_span.get() + self.pc_span.remainder(page)
     }
 
     /// A skewed pick within the hot set: quadratic rank skew concentrates
@@ -282,7 +300,7 @@ impl TraceGenerator {
     fn next_hot(&mut self) -> (u64, u64, u64) {
         if self.hot_remaining == 0 {
             let u: f64 = self.rng.gen();
-            self.hot_page = ((u * u) * self.hot_pages as f64) as u64 % self.hot_pages;
+            self.hot_page = self.hot_rank(u);
             self.hot_remaining = self.rng.gen_range(1..=4);
             self.hot_pc = self.pc_of(self.hot_pc_slot(self.hot_page));
             self.hot_window = self.window_start(self.hot_page);
@@ -291,6 +309,13 @@ impl TraceGenerator {
         // A line within the page's used-lines window (partial page usage).
         let line = self.hot_window + self.rng.gen_range(0..self.used_lines);
         (self.hot_page, line, self.hot_pc)
+    }
+
+    /// The hot page of rank-skew draw `u ∈ [0, 1)`. `u²` is below one, so
+    /// the truncated product is at most `hot_pages as f64`, which is below
+    /// `2 · hot_pages`: one wrap is the `%` it needs.
+    fn hot_rank(&self, u: f64) -> u64 {
+        wrap_once(((u * u) * self.hot_pages as f64) as u64, self.hot_pages)
     }
 
     /// A cold walker: picks a page uniformly over the footprint and dwells
@@ -315,12 +340,19 @@ impl TraceGenerator {
     /// Start of the page's deterministic used-lines window (partial page
     /// usage: only `used_lines` of the 64 lines are ever touched).
     fn window_start(&self, page: u64) -> u64 {
-        let window = LINES_PER_PAGE as u64 - self.used_lines;
-        if window == 0 {
-            0
-        } else {
-            (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % (window + 1)
-        }
+        self.window_starts
+            .remainder(page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33)
+    }
+}
+
+/// `n % m` for `n < 2m`: a compare and a subtract.
+#[inline]
+fn wrap_once(n: u64, m: u64) -> u64 {
+    debug_assert!(n / m < 2, "{n} wraps {m} more than once");
+    if n >= m {
+        n - m
+    } else {
+        n
     }
 }
 
@@ -454,7 +486,7 @@ mod tests {
                         "{} seed {seed} event {i}",
                         spec.name
                     );
-                    // Mid-block: 5003 popped events leave 5 of a block queued.
+                    // Mid-block: 5003 popped events leave 53 of a block queued.
                     if i == 5_002 {
                         clone = Some((ring.clone(), reference.clone()));
                     }
@@ -463,6 +495,83 @@ mod tests {
                 for i in 0..100 {
                     let want = reference_next(&mut reference);
                     assert_eq!(ring.next_event(), want, "{} clone event {i}", spec.name);
+                }
+            }
+        }
+    }
+
+    /// Generators over every suite behavior and over edge pools the suite
+    /// does not reach (`pc_pool` 1–8, one and 64 used lines), at scales
+    /// from a one-page footprint to the full one.
+    fn helper_generators() -> Vec<TraceGenerator> {
+        let mut specs = crate::suite();
+        let base = by_name("mcf").unwrap();
+        for pc_pool in 1..=8 {
+            for page_density in [1.0 / 64.0, 1.0] {
+                let mut spec = base;
+                spec.behavior.pc_pool = pc_pool;
+                spec.behavior.page_density = page_density;
+                specs.push(spec);
+            }
+        }
+        let mut generators = Vec::new();
+        for spec in specs {
+            for scale in [1, 64, 1 << 30] {
+                let cfg = TraceConfig {
+                    scale,
+                    seed: 7,
+                    core_offset_pages: 0,
+                };
+                generators.push(TraceGenerator::new(spec, cfg));
+            }
+        }
+        generators
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Every divide-free walker helper equals the `%` form it
+        /// replaced, at random pages of every magnitude: the hot and cold
+        /// PC slots, `pc_of`, the used-lines window, and the hot-page and
+        /// stream-page wraps. (`ring_matches_one_event_at_a_time` cannot
+        /// see a wrong helper: its reference calls the same walkers.)
+        #[test]
+        fn divide_free_helpers_match_the_modulo_forms(
+            raw in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+            k in 0u64..1 << 53,
+            at in proptest::prelude::any::<u64>(),
+        ) {
+            let page = raw >> shift;
+            // `gen::<f64>()` draws `k · 2^-53`; the last is the largest.
+            let unit = 1.0 / (1u64 << 53) as f64;
+            let draws = [k as f64 * unit, 0.0, ((1u64 << 53) - 1) as f64 * unit];
+            for g in helper_generators() {
+                let pool = g.spec.behavior.pc_pool as u64;
+                let span = ((g.spec.behavior.pc_pool.saturating_sub(4)) / 2).max(1) as u64;
+                let (hot, cold) = (g.hot_pc_slot(page), g.cold_pc_slot(page));
+                proptest::prop_assert_eq!(hot, 4 + page % span);
+                proptest::prop_assert_eq!(cold, 4 + span + page % span);
+                for slot in [hot, cold, page % 4, page] {
+                    proptest::prop_assert_eq!(g.pc_of(slot), 0x0040_0000 + (slot % pool) * 4);
+                }
+                let window = LINES_PER_PAGE as u64 - g.used_lines;
+                let start = if window == 0 {
+                    0
+                } else {
+                    (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % (window + 1)
+                };
+                proptest::prop_assert_eq!(g.window_start(page), start);
+                for u in draws {
+                    let rank = ((u * u) * g.hot_pages as f64) as u64 % g.hot_pages;
+                    proptest::prop_assert_eq!(g.hot_rank(u), rank, "u = {}", u);
+                }
+                for stream_page in [at % g.pages, 0, g.pages - 1] {
+                    proptest::prop_assert_eq!(
+                        wrap_once(stream_page + 1, g.pages),
+                        (stream_page + 1) % g.pages
+                    );
                 }
             }
         }

@@ -60,6 +60,14 @@ pub trait MissStream {
             .map(cameo_types::PageAddr::new)
             .collect()
     }
+
+    /// [`MissStream::prefill_pages`] as the range of page numbers they
+    /// form, in the same order, so the runner can step through them
+    /// without a list; `None` (the default) when the stream does not say.
+    /// Generators return their contiguous range.
+    fn prefill_range(&self) -> Option<std::ops::Range<u64>> {
+        None
+    }
 }
 
 /// Boxed streams forward to their contents, so heterogeneous stream sets
@@ -76,6 +84,10 @@ impl<M: MissStream + ?Sized> MissStream for Box<M> {
 
     fn prefill_pages(&self) -> Vec<cameo_types::PageAddr> {
         (**self).prefill_pages()
+    }
+
+    fn prefill_range(&self) -> Option<std::ops::Range<u64>> {
+        (**self).prefill_range()
     }
 }
 
@@ -94,5 +106,10 @@ impl MissStream for TraceGenerator {
         (offset..offset + TraceGenerator::footprint_pages(self))
             .map(cameo_types::PageAddr::new)
             .collect()
+    }
+
+    fn prefill_range(&self) -> Option<std::ops::Range<u64>> {
+        let offset = self.offset_pages();
+        Some(offset..offset + TraceGenerator::footprint_pages(self))
     }
 }
